@@ -31,9 +31,10 @@ from .errors import (
     InternalCheckError,
     ValidationError,
     YDDatumError,
+    malformed,
 )
 from .groups import FiniteGroup
-from .linalg import IncrementalSpan
+from .linalg import IncrementalSpan, add_terms, axpy
 from .nichols import GradedBasis, TensorWords, matsumoto_lift, shuffle_perms
 
 BasisKey = tuple[int, int, int]  # (degree, basis index, group element index)
@@ -242,13 +243,9 @@ class _PairSolver:
         self.pairs: list[tuple[int, int]] = []
         for i, vi in enumerate(left.vectors):
             for j, vj in enumerate(right.vectors):
-                vec = {}
-                for u, cu in vi.items():
-                    for v, cv in vj.items():
-                        vec[u * self.shift + v] = cu * cv
                 tag = len(self.pairs)
                 self.pairs.append((i, j))
-                if not self.span.add(vec, tag):
+                if not self.span.add(tensor_product(vi, vj, self.shift), tag):
                     raise InternalCheckError(
                         "tensor products of graded basis vectors are dependent"
                     )
@@ -296,26 +293,13 @@ class GradedHopfSlice:
                     raise BoundExceededError(
                         f"product {ka} * {kb} leaves the degree-{self.cutoff} slice"
                     )
-                coeff = ca * cb
-                for kc, cc in entry.items():
-                    acc = out.get(kc)
-                    val = coeff * cc if acc is None else acc + coeff * cc
-                    if val.is_zero:
-                        out.pop(kc, None)
-                    else:
-                        out[kc] = val
+                axpy(out, ca * cb, entry)
         return out
 
     def apply_antipode(self, element: Element) -> Element:
         out: Element = {}
         for key, coeff in element.items():
-            for kt, ct in self.antipode[key].items():
-                acc = out.get(kt)
-                val = coeff * ct if acc is None else acc + coeff * ct
-                if val.is_zero:
-                    out.pop(kt, None)
-                else:
-                    out[kt] = val
+            axpy(out, coeff, self.antipode[key])
         return out
 
 
@@ -323,42 +307,28 @@ def _act_on_vector(datum: YDDatum, g, degree: int, vector, words: TensorWords):
     """Diagonal action of g on a tensor-space vector (word-index keyed)."""
     out = {}
     for idx, coeff in vector.items():
-        word = words.word(idx)
         scalar = coeff
         new_word = []
-        for x in word:
+        for x in words.word(idx):
             tx, s = datum.act_index(g, x)
             new_word.append(tx)
             scalar = scalar * s
-        tgt = words.index(tuple(new_word))
-        acc = out.get(tgt)
-        val = scalar if acc is None else acc + scalar
-        if val.is_zero:
-            out.pop(tgt, None)
-        else:
-            out[tgt] = val
+        add_terms(out, [(words.index(tuple(new_word)), scalar)])
     return out
+
+
+def tensor_product(a: dict, b: dict, shift: int) -> dict:
+    """a (x) b over word indices, with (u, v) at index u * shift + v."""
+    return {u * shift + v: cu * cv for u, cu in a.items() for v, cv in b.items()}
 
 
 def _shuffle_multiply(space, words_total: TensorWords, m: int, n: int, a, b):
     """Braided shuffle product of vectors of degrees m and n."""
-    d = space.dim
-    shift = d**n
-    tensor = {}
-    for u, cu in a.items():
-        for v, cv in b.items():
-            tensor[u * shift + v] = cu * cv
+    tensor = tensor_product(a, b, space.dim**n)
     out = {}
     for perm in shuffle_perms(m, n):
         letters = matsumoto_lift(perm)
-        image = words_total.apply_word_to_vector(letters, tensor)
-        for r, c in image.items():
-            acc = out.get(r)
-            val = c if acc is None else acc + c
-            if val.is_zero:
-                out.pop(r, None)
-            else:
-                out[r] = val
+        add_terms(out, words_total.apply_word_to_vector(letters, tensor).items())
     return out
 
 
@@ -409,11 +379,11 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
                                     "product left the graded image basis"
                                 )
                             g12 = group.index(group.mul(g1, g2))
-                            entry = {}
-                            for it, coeff in enumerate(coords):
-                                if not coeff.is_zero:
-                                    entry[(total_deg, it, g12)] = coeff
-                            product[((n1, i1, gi1), (n2, i2, gi2))] = entry
+                            product[((n1, i1, gi1), (n2, i2, gi2))] = {
+                                (total_deg, it, g12): coeff
+                                for it, coeff in enumerate(coords)
+                                if not coeff.is_zero
+                            }
 
     # --- coproduct -------------------------------------------------------
     pair_solvers = {}
@@ -448,14 +418,10 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
                         left_g = group.index(
                             group.mul(elements[degi], g)
                         )
-                        for (i1, i2), coeff in sorted(coords.items()):
-                            pair = ((k, i1, left_g), (n - k, i2, gi))
-                            acc = terms.get(pair)
-                            val = coeff if acc is None else acc + coeff
-                            if val.is_zero:
-                                terms.pop(pair, None)
-                            else:
-                                terms[pair] = val
+                        add_terms(terms, (
+                            (((k, i1, left_g), (n - k, i2, gi)), coeff)
+                            for (i1, i2), coeff in sorted(coords.items())
+                        ))
                 coproduct[(n, i, gi)] = terms
 
     slice_ = GradedHopfSlice(
@@ -497,15 +463,7 @@ def _synthesize_antipode(slice_: GradedHopfSlice):
                 if ka != key or kb[0] != 0:
                     raise InternalCheckError("unexpected top coproduct term")
                 continue
-            sa = antipode[ka]
-            term = slice_.multiply(sa, {kb: coeff})
-            for kt, ct in term.items():
-                cur = acc.get(kt)
-                val = ct if cur is None else cur + ct
-                if val.is_zero:
-                    acc.pop(kt, None)
-                else:
-                    acc[kt] = val
+            add_terms(acc, slice_.multiply(antipode[ka], {kb: coeff}).items())
         neg = {kt: -ct for kt, ct in acc.items()}
         antipode[key] = slice_.multiply(neg, inv_unit)
 
@@ -537,30 +495,16 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     skipped = []
     one = CycScalar.one()
 
-    def elements_equal(a: Element, b: Element) -> bool:
-        keys = set(a) | set(b)
-        zero = CycScalar.zero()
-        return all(a.get(k, zero) == b.get(k, zero) for k in keys)
-
     # counit
     checked = 0
     for key in slice_.basis:
+        terms = slice_.coproduct[key].items()
         left: Element = {}
         right: Element = {}
-        for (ka, kb), coeff in slice_.coproduct[key].items():
-            if ka[0] == 0:
-                # epsilon on the left slot keeps the right one
-                acc = left.get(kb)
-                val = coeff if acc is None else acc + coeff
-                left[kb] = val
-            if kb[0] == 0:
-                acc = right.get(ka)
-                val = coeff if acc is None else acc + coeff
-                right[ka] = val
-        left = {k: v for k, v in left.items() if not v.is_zero}
-        right = {k: v for k, v in right.items() if not v.is_zero}
-        target = {key: one}
-        if not elements_equal(left, target) or not elements_equal(right, target):
+        # epsilon on one slot keeps the other, and only degree 0 survives it
+        add_terms(left, ((kb, c) for (ka, kb), c in terms if ka[0] == 0))
+        add_terms(right, ((ka, c) for (ka, kb), c in terms if kb[0] == 0))
+        if left != {key: one} or right != {key: one}:
             raise AxiomFailsError("counit", key)
         checked += 1
     axioms.append(("counit", checked, "all degrees"))
@@ -571,25 +515,15 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
         lhs: dict = {}
         rhs: dict = {}
         for (ka, kb), coeff in slice_.coproduct[key].items():
-            for (kc, kd), c2 in slice_.coproduct[ka].items():
-                triple = (kc, kd, kb)
-                acc = lhs.get(triple)
-                val = coeff * c2 if acc is None else acc + coeff * c2
-                if val.is_zero:
-                    lhs.pop(triple, None)
-                else:
-                    lhs[triple] = val
-            for (kc, kd), c2 in slice_.coproduct[kb].items():
-                triple = (ka, kc, kd)
-                acc = rhs.get(triple)
-                val = coeff * c2 if acc is None else acc + coeff * c2
-                if val.is_zero:
-                    rhs.pop(triple, None)
-                else:
-                    rhs[triple] = val
-        keys = set(lhs) | set(rhs)
-        zero = CycScalar.zero()
-        if not all(lhs.get(k, zero) == rhs.get(k, zero) for k in keys):
+            add_terms(lhs, (
+                ((kc, kd, kb), coeff * c2)
+                for (kc, kd), c2 in slice_.coproduct[ka].items()
+            ))
+            add_terms(rhs, (
+                ((ka, kc, kd), coeff * c2)
+                for (kc, kd), c2 in slice_.coproduct[kb].items()
+            ))
+        if lhs != rhs:
             raise AxiomFailsError("coassociativity", key)
         checked += 1
     axioms.append(("coassociativity", checked, "all degrees"))
@@ -599,9 +533,9 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     checked = 0
     for key in slice_.basis:
         e = {key: one}
-        if not elements_equal(slice_.multiply(unit, e), e):
+        if slice_.multiply(unit, e) != e:
             raise AxiomFailsError("left unit", key)
-        if not elements_equal(slice_.multiply(e, unit), e):
+        if slice_.multiply(e, unit) != e:
             raise AxiomFailsError("right unit", key)
         checked += 1
     axioms.append(("unit", checked, "all degrees"))
@@ -619,7 +553,7 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
                     continue
                 lhs = slice_.multiply(ab, {kc: one})
                 rhs = slice_.multiply({ka: one}, slice_.product[(kb, kc)])
-                if not elements_equal(lhs, rhs):
+                if lhs != rhs:
                     raise AxiomFailsError("associativity", (ka, kb, kc))
                 checked += 1
     axioms.append(("associativity", checked, closed_note))
@@ -637,32 +571,19 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
             ab = slice_.product[(ka, kb)]
             lhs: dict = {}
             for kc, coeff in ab.items():
-                for pair, c2 in slice_.coproduct[kc].items():
-                    acc = lhs.get(pair)
-                    val = coeff * c2 if acc is None else acc + coeff * c2
-                    if val.is_zero:
-                        lhs.pop(pair, None)
-                    else:
-                        lhs[pair] = val
+                axpy(lhs, coeff, slice_.coproduct[kc])
             rhs: dict = {}
             for (ka1, ka2), c1 in slice_.coproduct[ka].items():
                 for (kb1, kb2), c2 in slice_.coproduct[kb].items():
                     coeff = c1 * c2
                     left = slice_.product[(ka1, kb1)]
                     right = slice_.product[(ka2, kb2)]
-                    for kl, cl in left.items():
-                        for kr, cr in right.items():
-                            pair = (kl, kr)
-                            term = coeff * cl * cr
-                            acc = rhs.get(pair)
-                            val = term if acc is None else acc + term
-                            if val.is_zero:
-                                rhs.pop(pair, None)
-                            else:
-                                rhs[pair] = val
-            keys = set(lhs) | set(rhs)
-            zero = CycScalar.zero()
-            if not all(lhs.get(k, zero) == rhs.get(k, zero) for k in keys):
+                    add_terms(rhs, (
+                        ((kl, kr), coeff * cl * cr)
+                        for kl, cl in left.items()
+                        for kr, cr in right.items()
+                    ))
+            if lhs != rhs:
                 raise AxiomFailsError("bialgebra", (ka, kb))
             checked += 1
     axioms.append(("bialgebra", checked, f"degree pairs summing to <= {D}"))
@@ -673,25 +594,13 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
         lhs: Element = {}
         rhs: Element = {}
         for (ka, kb), coeff in slice_.coproduct[key].items():
-            term = slice_.multiply(slice_.apply_antipode({ka: coeff}), {kb: one})
-            for kt, ct in term.items():
-                acc = lhs.get(kt)
-                val = ct if acc is None else acc + ct
-                if val.is_zero:
-                    lhs.pop(kt, None)
-                else:
-                    lhs[kt] = val
-            term = slice_.multiply({ka: coeff}, slice_.apply_antipode({kb: one}))
-            for kt, ct in term.items():
-                acc = rhs.get(kt)
-                val = ct if acc is None else acc + ct
-                if val.is_zero:
-                    rhs.pop(kt, None)
-                else:
-                    rhs[kt] = val
+            sa = slice_.apply_antipode({ka: coeff})
+            add_terms(lhs, slice_.multiply(sa, {kb: one}).items())
+            sb = slice_.apply_antipode({kb: one})
+            add_terms(rhs, slice_.multiply({ka: coeff}, sb).items())
         eps = slice_.counit(key)
         target = {} if eps.is_zero else {slice_.unit_key(): eps}
-        if not elements_equal(lhs, target) or not elements_equal(rhs, target):
+        if lhs != target or rhs != target:
             raise AxiomFailsError("antipode", key)
         checked += 1
     axioms.append(("antipode", checked, "all degrees"))
@@ -806,44 +715,22 @@ def covering_map_check(
 
     def push_element(element: Element) -> Element:
         out: Element = {}
-        for key, coeff in element.items():
-            tgt = push(key)
-            acc = out.get(tgt)
-            val = coeff if acc is None else acc + coeff
-            if val.is_zero:
-                out.pop(tgt, None)
-            else:
-                out[tgt] = val
+        add_terms(out, ((push(key), coeff) for key, coeff in element.items()))
         return out
-
-    zero = CycScalar.zero()
-
-    def elements_equal(a: Element, b: Element) -> bool:
-        keys = set(a) | set(b)
-        return all(a.get(k, zero) == b.get(k, zero) for k in keys)
 
     algebra_checked = 0
     for (ka, kb), entry in slice_h.product.items():
-        lhs = push_element(entry)
-        rhs = slice_g.product[(push(ka), push(kb))]
-        if not elements_equal(lhs, rhs):
+        if push_element(entry) != slice_g.product[(push(ka), push(kb))]:
             raise YDDatumError("NotCompatible", ("product", ka, kb))
         algebra_checked += 1
 
     coalgebra_checked = 0
     for key, terms in slice_h.coproduct.items():
         lhs: dict = {}
-        for (ka, kb), coeff in terms.items():
-            pair = (push(ka), push(kb))
-            acc = lhs.get(pair)
-            val = coeff if acc is None else acc + coeff
-            if val.is_zero:
-                lhs.pop(pair, None)
-            else:
-                lhs[pair] = val
-        rhs = slice_g.coproduct[push(key)]
-        keys = set(lhs) | set(rhs)
-        if not all(lhs.get(k, zero) == rhs.get(k, zero) for k in keys):
+        add_terms(lhs, (
+            ((push(ka), push(kb)), coeff) for (ka, kb), coeff in terms.items()
+        ))
+        if lhs != slice_g.coproduct[push(key)]:
             raise YDDatumError("NotCompatible", ("coproduct", key))
         coalgebra_checked += 1
 
@@ -910,22 +797,22 @@ def datum_from_json(data: dict) -> YDDatum:
     from .groups import load_group_json
     from .racks import rack_from_json
 
-    rack = rack_from_json(data["rack"])
-    cocycle = Cocycle.from_json(rack, data["cocycle"])
-    space = BraidedSpace(rack, cocycle)
-    group = load_group_json(data["group"])
-    degrees = tuple(group.elements[i - 1] for i in data["deg"])
-    rows = data["action"]
-    if len(rows) != group.order:
-        raise ValidationError("need one action row per group element")
-    action = {}
-    for gi, row in enumerate(rows):
-        if len(row) != rack.n:
-            raise ValidationError("action row length does not match the rack")
-        action[group.elements[gi]] = tuple(
-            (entry[0] - 1, parse_scalar(entry[1])) for entry in row
-        )
-    datum = YDDatum(space, group, degrees, action)
+    with malformed("datum"):
+        rack = rack_from_json(data["rack"])
+        cocycle = Cocycle.from_json(rack, data["cocycle"])
+        group = load_group_json(data["group"])
+        deg, rows = data["deg"], data["action"]
+        if len(deg) != rack.n or not all(1 <= i <= group.order for i in deg):
+            raise ValidationError("need one group index in 1..|G| per rack element")
+        degrees = tuple(group.elements[i - 1] for i in deg)
+        if len(rows) != group.order:
+            raise ValidationError("need one action row per group element")
+        action = {}
+        for g, row in zip(group.elements, rows):
+            if len(row) != rack.n or not all(1 <= e[0] <= rack.n for e in row):
+                raise ValidationError("action rows need one [x' in 1..n, scalar] per x")
+            action[g] = tuple((entry[0] - 1, parse_scalar(entry[1])) for entry in row)
+    datum = YDDatum(BraidedSpace(rack, cocycle), group, degrees, action)
     yd_verify(datum)
     return datum
 

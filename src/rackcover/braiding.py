@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .cyclotomic import CycScalar
-from .errors import InternalCheckError, ValidationError
-from .linalg import ExactMatrix, determinant, rank_kernel
+from .errors import InternalCheckError, ValidationError, malformed
+from .linalg import ExactMatrix, add_terms, determinant, rank_kernel
 from .racks import Rack, transposition_elements, transpositions_rack
 
 
@@ -34,6 +34,8 @@ class Cocycle:
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not isinstance(self.order, int) or self.order < 1:
+            raise ValidationError(f"cocycle order N = {self.order!r} is not positive")
         n = self.rack.n
         if len(self.exponents) != n or any(len(r) != n for r in self.exponents):
             raise ValidationError("cocycle exponent table has wrong shape")
@@ -57,8 +59,9 @@ class Cocycle:
 
     @classmethod
     def from_json(cls, rack: Rack, data: dict) -> "Cocycle":
-        order = data["N"]
-        exp = tuple(tuple(v % order for v in row) for row in data["exp"])
+        with malformed("cocycle"):
+            order = data["N"]
+            exp = tuple(tuple(v % order for v in row) for row in data["exp"])
         cocycle = cls(rack, order, exp)
         ok, witness = braid_check(rack, cocycle)
         if not ok:
@@ -184,8 +187,7 @@ class OrbitData:
             entries[(i, i)] = one
         for i in range(m - 1):
             entries[(i + 1, i)] = one
-        corner = entries.get((0, m - 1), CycScalar.zero())
-        entries[(0, m - 1)] = corner + self.lam
+        add_terms(entries, [((0, m - 1), self.lam)])
         return ExactMatrix(m, m, entries)
 
     def kernel_vector(self) -> dict[int, CycScalar] | None:

@@ -41,11 +41,12 @@ from .errors import (
     InternalCheckError,
     RackcoverError,
     ValidationError,
+    malformed,
 )
 from .groups import load_group_json
 from .nichols import covering_relators, hilbert_series, minimal_elements
 from .presentations import Presentation, default_labels, format_word, parse_word
-from .racks import catalog, catalog_names, rack_from_json, rack_to_json, rack_verify
+from .racks import catalog, catalog_names, rack_from_json
 from .racks import transpositions_rack
 
 
@@ -146,12 +147,7 @@ def _tsv_scalar(value):
 
 
 def cmd_rack_check(args):
-    if args.builtin:
-        rack = catalog(args.builtin)
-    else:
-        data = _load_json(args.file)
-        table = [[v - 1 for v in row] for row in data["table"]]
-        rack = rack_verify(table, label=data.get("label"))
+    rack = _resolve_rack(args)
     _emit(args, "rack check", {"valid": True, "n": rack.n, "label": rack.label})
 
 
@@ -190,9 +186,10 @@ def cmd_braid_check(args):
         # load without the constructor's validation so a broken cocycle can
         # be reported with its witness rather than rejected up front
         data = _load_json(args.cocycle[len("file:"):])
-        cocycle = Cocycle(
-            rack, data["N"], tuple(tuple(v % data["N"] for v in row) for row in data["exp"])
-        )
+        with malformed("cocycle"):
+            N = data["N"]
+            exp = tuple(tuple(v % N for v in row) for row in data["exp"])
+        cocycle = Cocycle(rack, N, exp)
     else:
         cocycle = _resolve_cocycle(rack, args.cocycle)
     ok, witness = braid_check(rack, cocycle)
@@ -240,7 +237,12 @@ def cmd_braid_quadratic(args):
 
 def cmd_nichols_dims(args):
     space = _space(args)
-    report = hilbert_series(space, args.max_degree, max_cols=args.max_cols)
+    try:
+        report = hilbert_series(space, args.max_degree, max_cols=args.max_cols)
+    except BoundExceededError as exc:
+        # the degrees below the bound are exact: print them before exit 2
+        _emit(args, "nichols dims", {**exc.partial.to_json(), "partial": True})
+        raise
     _emit(args, "nichols dims", report.to_json())
 
 
@@ -379,11 +381,9 @@ def cmd_hopf_bosonize(args):
         datum_from_json,
         slice_to_json,
         verify_hopf,
-        yd_verify,
     )
 
     datum = datum_from_json(_load_json(args.datum))
-    yd_verify(datum)
     slice_ = build_slice(datum, args.cutoff, max_dim=args.max_dim)
     result = {
         "dimension": slice_.dimension,

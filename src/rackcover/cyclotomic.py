@@ -188,10 +188,6 @@ class CycScalar:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    @property
-    def is_one(self) -> bool:
-        return self == 1
-
     def as_rational(self) -> Fraction | None:
         """The element as a Fraction if it is rational, else None."""
         if any(self.coeffs[1:]):
@@ -393,11 +389,6 @@ def root_of_unity(order: int, k: int = 1) -> CycScalar:
 
 def rational(value, order: int = 1) -> CycScalar:
     return CycScalar.rational(value, order)
-
-
-ZERO = CycScalar.zero()
-ONE = CycScalar.one()
-MINUS_ONE = CycScalar.rational(-1)
 
 
 def parse_scalar(text: str) -> CycScalar:

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .linalg import abelian_invariants
-from .presentations import Presentation, Word, free_reduce
+from .presentations import Presentation, Word
 from .racks import Rack
 
 

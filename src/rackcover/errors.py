@@ -5,6 +5,8 @@ input/validation problems (exit 1), resource bounds (exit 2), and
 violated internal self-checks (exit 3).
 """
 
+from contextlib import contextmanager
+
 
 class RackcoverError(Exception):
     """Base class for all library errors."""
@@ -12,6 +14,19 @@ class RackcoverError(Exception):
 
 class ValidationError(RackcoverError):
     """Bad input data: broken axioms, malformed files, unknown names."""
+
+
+@contextmanager
+def malformed(kind: str):
+    """Turn a missing key, or a value of the wrong type or shape, met while
+    reading a `kind` file into a one-line ValidationError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{kind} file lacks the key {exc}") from None
+    except (LookupError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise ValidationError(f"malformed {kind} file: {exc}") from None
 
 
 class BoundExceededError(RackcoverError):

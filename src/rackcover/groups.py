@@ -9,7 +9,7 @@ quotients.
 
 from __future__ import annotations
 
-from .errors import BoundExceededError, ValidationError
+from .errors import BoundExceededError, ValidationError, malformed
 
 Perm = tuple[int, ...]
 
@@ -364,18 +364,17 @@ def _ilog(n: int, p: int) -> int:
 
 def load_group_json(data: dict) -> FiniteGroup:
     """Group file: permutation generators (1-based images) or a table."""
-    if "generators" in data:
-        degree = data["degree"]
-        gens = [tuple(v - 1 for v in g) for g in data["generators"]]
-        if any(len(g) != degree for g in gens):
-            raise ValidationError("generator length does not match degree")
-        return FiniteGroup.from_permutations(gens)
-    if "table" in data:
-        n = data["order"]
-        table = [[v - 1 for v in row] for row in data["table"]]
-        if len(table) != n:
-            raise ValidationError("table size does not match order")
-        return FiniteGroup.from_table(table)
+    with malformed("group"):
+        if "generators" in data:
+            gens = [tuple(v - 1 for v in g) for g in data["generators"]]
+            if any(len(g) != data["degree"] for g in gens):
+                raise ValidationError("generator length does not match degree")
+            return FiniteGroup.from_permutations(gens)
+        if "table" in data:
+            table = [[v - 1 for v in row] for row in data["table"]]
+            if len(table) != data["order"]:
+                raise ValidationError("table size does not match order")
+            return FiniteGroup.from_table(table)
     raise ValidationError("group file needs 'generators' or 'table'")
 
 

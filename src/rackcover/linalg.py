@@ -3,7 +3,13 @@
 Matrices are stored sparsely (no zero entries, one entry per position) and
 all elimination runs in exact field arithmetic.  Pivot columns are chosen
 sparsity-greedily (fewest nonzeros first) because the matrices arising from
-quantum symmetrizers are monomial-sparse.  Vectors are dicts index -> scalar.
+quantum symmetrizers are monomial-sparse.
+
+Sparse vectors, here and in the modules built on this one, are dicts
+key -> scalar that never store a zero.  Only the kernel adds into them:
+`add_terms` and its scaled form `axpy` drop every entry that cancels.
+So two vectors are equal exactly when their dicts compare equal with `==`
+(scalars of different orders compare by value).
 
 Ranks reported by this module always come from exact elimination; modular
 shortcuts are deliberately not used.
@@ -23,6 +29,23 @@ Vector = dict[int, CycScalar]
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
+
+
+def add_terms(target: dict, terms) -> None:
+    """target[key] += term for each (key, term) pair, in place; an entry
+    that cancels to zero is removed, so no zero is ever stored."""
+    for key, term in terms:
+        acc = target.get(key)
+        val = term if acc is None else acc + term
+        if val.is_zero:
+            target.pop(key, None)
+        else:
+            target[key] = val
+
+
+def axpy(target: dict, coeff: CycScalar, source: dict) -> None:
+    """target += coeff * source, in place; `source` is not modified."""
+    add_terms(target, ((key, coeff * value) for key, value in source.items()))
 
 
 class ExactMatrix:
@@ -51,19 +74,18 @@ class ExactMatrix:
             pos: value.lift(order) for pos, value in cleaned.items()
         }
 
-    @classmethod
-    def from_dense(cls, data) -> "ExactMatrix":
-        entries = {}
-        for r, row in enumerate(data):
-            for c, value in enumerate(row):
-                entries[(r, c)] = value
-        return cls(len(data), len(data[0]) if data else 0, entries)
-
     def row_dicts(self) -> list[Vector]:
         rows: list[Vector] = [dict() for _ in range(self.rows)]
         for (r, c), value in sorted(self.entries.items()):
             rows[r][c] = value
         return rows
+
+    def columns(self) -> dict[int, Vector]:
+        """The nonzero columns, keyed by column index."""
+        cols: dict[int, Vector] = {}
+        for (r, c), value in self.entries.items():
+            cols.setdefault(c, {})[r] = value
+        return cols
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
@@ -75,12 +97,11 @@ class ExactMatrix:
     def apply(self, vector: Vector) -> Vector:
         """Matrix times column vector, sparse."""
         out: Vector = {}
-        for (r, c), value in self.entries.items():
-            coeff = vector.get(c)
-            if coeff is not None:
-                acc = out.get(r)
-                out[r] = value * coeff if acc is None else acc + value * coeff
-        return {r: v for r, v in out.items() if not v.is_zero}
+        add_terms(out, (
+            (r, value * vector[c])
+            for (r, c), value in self.entries.items() if c in vector
+        ))
+        return out
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
@@ -109,50 +130,19 @@ def _eliminate(rows: list[Vector]) -> list[tuple[int, Vector]]:
         pivot = active.pop(best_i)
         inv = pivot[col].inverse()
         pivot = {c: v * inv for c, v in pivot.items()}
-        remaining = []
-        for row in active:
-            coeff = row.get(col)
-            if coeff is None:
-                remaining.append(row)
-                continue
-            new_row = dict(row)
-            del new_row[col]
-            for c, v in pivot.items():
-                if c == col:
-                    continue
-                acc = new_row.get(c)
-                val = -coeff * v if acc is None else acc - coeff * v
-                if val.is_zero:
-                    new_row.pop(c, None)
-                else:
-                    new_row[c] = val
-            if new_row:
-                remaining.append(new_row)
-        active = remaining
-        # back-substitute into already-found pivot rows
-        for k, (pcol, prow) in enumerate(pivots):
-            coeff = prow.get(col)
-            if coeff is None:
-                continue
-            new_row = dict(prow)
-            del new_row[col]
-            for c, v in pivot.items():
-                if c == col:
-                    continue
-                acc = new_row.get(c)
-                val = -coeff * v if acc is None else acc - coeff * v
-                if val.is_zero:
-                    new_row.pop(c, None)
-                else:
-                    new_row[c] = val
-            pivots[k] = (pcol, new_row)
+        # clear `col` from the active rows and, back-substituting, from the
+        # earlier pivot rows: row -= row[col] * pivot, which drops row[col]
+        # and adds row[col] * neg_tail
+        hits = [row for row in active if col in row]
+        hits += [prow for _, prow in pivots if col in prow]
+        if hits:
+            neg_tail = {c: -v for c, v in pivot.items() if c != col}
+            for row in hits:
+                axpy(row, row.pop(col), neg_tail)
+        active = [row for row in active if row]
         pivots.append((col, pivot))
     pivots.sort(key=lambda t: t[0])
     return pivots
-
-
-def rank(matrix: ExactMatrix) -> int:
-    return len(_eliminate(matrix.row_dicts()))
 
 
 def rank_kernel(matrix: ExactMatrix) -> tuple[int, list[Vector]]:
@@ -203,29 +193,12 @@ def determinant(matrix: ExactMatrix) -> CycScalar:
         pivot = rows[col]
         det = det * pivot[col]
         inv = pivot[col].inverse()
+        neg_tail = {c: -v for c, v in pivot.items() if c > col}
         for i in range(col + 1, n):
-            coeff = rows[i].get(col)
-            if coeff is None:
-                continue
-            factor = coeff * inv
-            new_row = dict(rows[i])
-            del new_row[col]
-            for c, v in pivot.items():
-                if c <= col:
-                    continue
-                acc = new_row.get(c)
-                val = -factor * v if acc is None else acc - factor * v
-                if val.is_zero:
-                    new_row.pop(c, None)
-                else:
-                    new_row[c] = val
-            rows[i] = new_row
+            coeff = rows[i].pop(col, None)
+            if coeff is not None:
+                axpy(rows[i], coeff * inv, neg_tail)
     return det * sign if sign < 0 else det
-
-
-def row_space_basis(rows: list[Vector]) -> list[tuple[int, Vector]]:
-    """Reduced basis of the span of the given vectors (row-reduced form)."""
-    return _eliminate(rows)
 
 
 class IncrementalSpan:
@@ -249,27 +222,12 @@ class IncrementalSpan:
     def _reduce(self, vector: Vector):
         residual = dict(vector)
         combo: dict[int, CycScalar] = {}
-        for col, row, expr in self._pivots:
-            coeff = residual.get(col)
+        for col, neg_tail, expr in self._pivots:
+            coeff = residual.pop(col, None)
             if coeff is None:
                 continue
-            del residual[col]
-            for c, v in row.items():
-                if c == col:
-                    continue
-                acc = residual.get(c)
-                val = -coeff * v if acc is None else acc - coeff * v
-                if val.is_zero:
-                    residual.pop(c, None)
-                else:
-                    residual[c] = val
-            for tag, v in expr.items():
-                acc = combo.get(tag)
-                val = coeff * v if acc is None else acc + coeff * v
-                if val.is_zero:
-                    combo.pop(tag, None)
-                else:
-                    combo[tag] = val
+            axpy(residual, coeff, neg_tail)
+            axpy(combo, coeff, expr)
         return residual, combo
 
     def add(self, vector: Vector, tag: int) -> bool:
@@ -278,14 +236,14 @@ class IncrementalSpan:
         if not residual:
             return False
         col = min(residual)
-        inv = residual[col].inverse()
-        row = {c: v * inv for c, v in residual.items()}
-        # expression of the new pivot row in terms of kept vectors:
-        # row = inv * (vector - sum combo[tag'] * kept_tag')
+        inv = residual.pop(col).inverse()
+        # the new pivot row is e_col - neg_tail, and in terms of kept
+        # vectors it is inv * (vector - sum combo[tag'] * kept_tag')
+        neg_inv = -inv
+        neg_tail = {c: v * neg_inv for c, v in residual.items()}
         expr = {tag: inv}
-        for t, v in combo.items():
-            expr[t] = -inv * v
-        self._pivots.append((col, row, expr))
+        axpy(expr, neg_inv, combo)
+        self._pivots.append((col, neg_tail, expr))
         self.kept.append(tag)
         return True
 
@@ -489,26 +447,10 @@ def support_minimal_vectors(
     if dim == 0:
         return [], set()
 
-    # coordinates whose unit vector lies in the span
-    unit_coords: set[int] = set()
-    for i in range(ambient):
-        residual: Vector = {i: CycScalar.one()}
-        for col, row in pivots:
-            coeff = residual.get(col)
-            if coeff is None:
-                continue
-            del residual[col]
-            for c, v in row.items():
-                if c == col:
-                    continue
-                acc = residual.get(c)
-                val = -coeff * v if acc is None else acc - coeff * v
-                if val.is_zero:
-                    residual.pop(c, None)
-                else:
-                    residual[c] = val
-        if not residual:
-            unit_coords.add(i)
+    # coordinates whose unit vector lies in the span: in reduced row
+    # echelon form, e_i is in the span exactly when i is a pivot column
+    # whose row is e_i itself
+    unit_coords = {col for col, row in pivots if len(row) == 1}
 
     bfs_cost = _subset_count(ambient, ambient - dim + 1)
     cut_cost = _choose(ambient, dim - 1)
@@ -572,28 +514,14 @@ def _minimal_by_constraint_cuts(basis, ambient, unit_coords):
                 if value is not None:
                     entries[(r, j)] = value
         matrix = ExactMatrix(dim - 1, dim, entries)
-        rank, kernel = rank_kernel(matrix)
+        _, kernel = rank_kernel(matrix)
         if len(kernel) != 1:
             continue
-        coeffs = kernel[0]
-        out: Vector = {}
-        for j, weight in coeffs.items():
-            for coord, value in basis[j].items():
-                acc = out.get(coord)
-                val = weight * value if acc is None else acc + weight * value
-                if val.is_zero:
-                    out.pop(coord, None)
-                else:
-                    out[coord] = val
-        if not out:
-            continue
+        out = _combination(basis, kernel[0])
         support = frozenset(out)
-        if len(support) < 2 or support & unit_coords:
+        if len(support) < 2 or support & unit_coords or support in candidates:
             continue
-        if support not in candidates:
-            lead = out[min(out)]
-            inv = lead.inverse()
-            candidates[support] = {c: v * inv for c, v in sorted(out.items())}
+        candidates[support] = _normalized(out)
     supports = list(candidates)
     minimal = [
         s for s in supports if not any(t < s for t in supports if t != s)
@@ -619,18 +547,19 @@ def _vector_supported_on(basis: list[Vector], support: set[int]) -> Vector | Non
     _, kernel = rank_kernel(constraint)
     if not kernel:
         return None
-    coeffs = kernel[0]
+    out = _combination(basis, kernel[0])
+    return _normalized(out) if out else None
+
+
+def _combination(basis: list[Vector], weights: Vector) -> Vector:
+    """sum over j of weights[j] * basis[j]."""
     out: Vector = {}
-    for j, weight in coeffs.items():
-        for coord, value in basis[j].items():
-            acc = out.get(coord)
-            val = weight * value if acc is None else acc + weight * value
-            if val.is_zero:
-                out.pop(coord, None)
-            else:
-                out[coord] = val
-    if not out:
-        return None
-    lead = out[min(out)]
-    inv = lead.inverse()
-    return {c: v * inv for c, v in sorted(out.items())}
+    for j, weight in weights.items():
+        axpy(out, weight, basis[j])
+    return out
+
+
+def _normalized(vector: Vector) -> Vector:
+    """The nonzero vector scaled so its first coordinate is 1, keys sorted."""
+    inv = vector[min(vector)].inverse()
+    return {c: v * inv for c, v in sorted(vector.items())}

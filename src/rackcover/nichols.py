@@ -34,7 +34,13 @@ from .braiding import BraidedSpace, quadratic_analysis
 from .cyclotomic import CycScalar
 from .errors import BoundExceededError, InternalCheckError
 from .groups import identity_perm, perm_compose
-from .linalg import ExactMatrix, IncrementalSpan, rank_kernel, support_minimal_vectors
+from .linalg import (
+    ExactMatrix,
+    IncrementalSpan,
+    add_terms,
+    rank_kernel,
+    support_minimal_vectors,
+)
 from .presentations import Presentation, Word, free_reduce
 
 RackWord = tuple[int, ...]
@@ -170,13 +176,7 @@ class TensorWords:
         out: dict[int, CycScalar] = {}
         for idx, coeff in vector.items():
             tgt, e = self.apply_word(letters, idx)
-            term = coeff * CycScalar.root_of_unity(N, e)
-            acc = out.get(tgt)
-            val = term if acc is None else acc + term
-            if val.is_zero:
-                out.pop(tgt, None)
-            else:
-                out[tgt] = val
+            add_terms(out, [(tgt, coeff * CycScalar.root_of_unity(N, e))])
         return out
 
 
@@ -335,9 +335,7 @@ class GradedBasis:
             self.tags.append(0)
             return
         matrix = symmetrizer_matrix(space, degree, max_cols)
-        columns: dict[int, dict[int, CycScalar]] = {}
-        for (r, c), v in matrix.entries.items():
-            columns.setdefault(c, {})[r] = v
+        columns = matrix.columns()
         for c in range(matrix.cols):
             col = columns.get(c)
             if not col:
@@ -413,10 +411,7 @@ def minimal_elements(
     if degree < 1:
         return []
     words = TensorWords(space, degree)
-    matrix = symmetrizer_matrix(space, degree, max_cols)
-    columns: dict[int, dict[int, CycScalar]] = {}
-    for (r, c), v in matrix.entries.items():
-        columns.setdefault(c, {})[r] = v
+    columns = symmetrizer_matrix(space, degree, max_cols).columns()
     out: list[MinimalElement] = []
     for block in word_blocks(space, degree):
         local = {idx: pos for pos, idx in enumerate(block)}

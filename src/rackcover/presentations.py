@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, malformed
 
 Word = tuple[int, ...]
 
@@ -27,17 +27,6 @@ def free_reduce(word) -> Word:
 
 def invert_word(word) -> Word:
     return tuple(-letter for letter in reversed(word))
-
-
-def concat(*words) -> Word:
-    out: list[int] = []
-    for w in words:
-        for letter in w:
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
-    return tuple(out)
 
 
 def cyclic_reduce(word) -> Word:
@@ -116,6 +105,8 @@ class Presentation:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.ngens, int) or self.ngens < 0:
+            raise ValidationError(f"generator count {self.ngens!r} is not >= 0")
         if self.labels is not None and len(self.labels) != self.ngens:
             raise ValidationError("label count does not match generator count")
         for rel in self.relators:
@@ -157,10 +148,12 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
-        ngens = data["generators"]
-        labels = tuple(data["labels"]) if "labels" in data else default_labels(ngens)
-        relators = [parse_word(text, labels) for text in data["relators"]]
-        return cls.make(ngens, relators, labels if "labels" in data else None)
+        with malformed("presentation"):
+            ngens = data["generators"]
+            given = tuple(data["labels"]) if "labels" in data else None
+            labels = given or default_labels(ngens)
+            relators = [parse_word(text, labels) for text in data["relators"]]
+            return cls.make(ngens, relators, given)
 
     def exponent_matrix(self) -> list[list[int]]:
         """Abelianized relators: one integer row per relator."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
 
-from .errors import RackAxiomError, UnknownNameError, ValidationError
+from .errors import RackAxiomError, UnknownNameError, ValidationError, malformed
 from .groups import FiniteGroup, perm_compose, perm_inverse
 
 
@@ -301,10 +301,10 @@ def _orbit_count(p):
 
 
 def rack_from_json(data: dict) -> Rack:
-    n = data["n"]
-    table = [[v - 1 for v in row] for row in data["table"]]
-    if len(table) != n:
-        raise ValidationError(f"table has {len(table)} rows, 'n' says {n}")
+    with malformed("rack"):
+        table = [[v - 1 for v in row] for row in data["table"]]
+        if len(table) != data["n"]:
+            raise ValidationError(f"table has {len(table)} rows, 'n' says {data['n']}")
     return rack_verify(table, label=data.get("label"))
 
 

@@ -15,7 +15,7 @@ from rackcover.bosonization import (
 from rackcover.braiding import BraidedSpace, Cocycle, chi_cocycle
 from rackcover.cyclotomic import CycScalar, root_of_unity
 from rackcover.envgroup import hom_from_generator_images
-from rackcover.errors import ValidationError, YDDatumError
+from rackcover.errors import AxiomFailsError, ValidationError, YDDatumError
 from rackcover.groups import FiniteGroup
 from rackcover.racks import transpositions_rack
 from rackcover.racks import transposition_elements
@@ -155,6 +155,20 @@ def test_taft_relations_hold():
     assert E2  # nonzero in degree 2
     (key2, coeff2), = E2.items()
     assert slice_.product[(key2, E)] == {}
+
+
+@pytest.mark.parametrize("table", ["product", "coproduct", "antipode"])
+def test_verify_hopf_detects_a_changed_structure_constant(table):
+    # sparse elements are compared with ==, so one changed coefficient
+    # anywhere must make some axiom fail
+    datum = rank_one_datum(group_order=3, q_order=3)
+    slice_ = build_slice(datum, 2)
+    E = (1, 0, 0)
+    structure = getattr(slice_, table)
+    key = (E, (0, 0, 1)) if table == "product" else E
+    structure[key] = {k: v * 2 for k, v in structure[key].items()}
+    with pytest.raises(AxiomFailsError):
+        verify_hopf(slice_)
 
 
 def test_sweedler_antipode_values():

@@ -1,11 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
-from rackcover.bosonization import datum_to_json, rank_one_datum
+from rackcover.bosonization import datum_from_generators, datum_to_json, rank_one_datum
+from rackcover.braiding import BraidedSpace, chi_cocycle
 from rackcover.cli import main
 from rackcover.groups import group_to_json, FiniteGroup
-from rackcover.racks import rack_to_json, transpositions_rack
+from rackcover.racks import rack_to_json, transposition_elements, transpositions_rack
 
 
 def run(capsys, *argv):
@@ -211,3 +213,107 @@ def test_json_output_parses_and_echoes_config(capsys):
     assert payload["version"]
     assert payload["config"]["builtin"] == "transpositions:3"
     assert "generated_at" not in payload
+
+
+def test_nichols_dims_bound_prints_partial_result(capsys):
+    code, out, err = run(
+        capsys,
+        "nichols", "dims", "--builtin", "transpositions:3",
+        "--max-cols", "30", "--no-meta",
+    )
+    assert code == 2
+    assert err.startswith("bound exceeded:")
+    result = json.loads(out)["result"]
+    assert result["partial"] is True
+    assert result["dims"] == [1, 3, 4, 3]  # degree 4 needs 81 > 30 columns
+    assert result["cutoff"] == 3
+
+
+def _datum_missing(key):
+    data = datum_to_json(rank_one_datum(group_order=2, q_order=2))
+    del data[key]
+    return data
+
+
+def _datum_with(key, value):
+    data = datum_to_json(rank_one_datum(group_order=2, q_order=2))
+    data[key] = value
+    return data
+
+
+MALFORMED = [
+    ("rack-no-table", {"n": 3}, ["rack", "check", "--file"]),
+    ("rack-bad-entry", {"n": 1, "table": [["a"]]}, ["rack", "info", "--file"]),
+    ("rack-not-object", [1, 2], ["rack", "check", "--file"]),
+    ("cocycle-no-exp", {"N": 2},
+     ["braid", "quadratic", "--builtin", "transpositions:3", "--cocycle", "file:"]),
+    ("cocycle-zero-order", {"N": 0, "exp": [[1] * 3] * 3},
+     ["braid", "check", "--builtin", "transpositions:3", "--cocycle", "file:"]),
+    ("cocycle-negative-order", {"N": -2, "exp": [[1] * 3] * 3},
+     ["braid", "census", "--builtin", "transpositions:3", "--cocycle", "file:"]),
+    ("group-no-degree", {"generators": [[2, 1]]},
+     ["group", "coverings", "--images", "2", "--target", "SELF", "--group"]),
+    ("group-bad-table", {"order": 2, "table": 5},
+     ["group", "coverings", "--images", "2", "--target", "SELF", "--group"]),
+    ("presentation-bad-relator", {"generators": 2, "relators": [3]},
+     ["group", "abelianization", "--presentation"]),
+    ("presentation-no-relators", {"generators": 2},
+     ["group", "tc", "--presentation"]),
+    ("presentation-negative-count", {"generators": -1, "relators": []},
+     ["group", "abelianization", "--presentation"]),
+    ("datum-no-action", _datum_missing("action"), ["hopf", "bosonize", "--datum"]),
+    ("datum-degree-out-of-range", _datum_with("deg", [3]), ["hopf", "bosonize", "--datum"]),
+    ("datum-bad-scalar", _datum_with("action", [[[1, "two"]], [[1, "2 1"]]]),
+     ["hopf", "bosonize", "--datum"]),
+]
+
+
+@pytest.mark.parametrize("name,data,argv", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_input_file_exits_one(tmp_path, capsys, name, data, argv):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    args = [str(path) if a == "SELF" else a for a in argv]
+    if args[-1] == "file:":
+        args[-1] += str(path)
+    else:
+        args.append(str(path))
+    code, _, err = run(capsys, *args, "--no-meta")  # an uncaught error fails here
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# sha256 of the --no-meta stdout as the README promises it byte-stable; a
+# change of these digests is a change of the output format or of a result
+GOLDEN = {
+    ("hopf", "bosonize", "--datum", "taft3.json", "--cutoff", "2",
+     "--export-structure", "--verify"):
+        "2449ed47a9de91fc3bb6194f6003393019f66574e6d0e830e848d7db6f72f0c6",
+    ("hopf", "bosonize", "--datum", "s3chi.json", "--cutoff", "2",
+     "--export-structure", "--verify"):
+        "17c9b72c4ea7fd30732706c2a60526f8e770d859fd7f8385b5da2049e3071e2e",
+    ("nichols", "minimal", "--builtin", "tetrahedron", "--max-degree", "3"):
+        "2c2a7e8ff47cca757930d346417a3dc5c678391b62158b176980c3dc07b87332",
+    ("nichols", "dims", "--builtin", "transpositions:3", "--cocycle", "chi",
+     "--max-degree", "4"):
+        "17c9afa6ef4498818631dd039c7337b9d908e5d34ff443172941d52990081299",
+}
+
+
+def test_no_meta_output_is_byte_stable(tmp_path, monkeypatch, capsys):
+    # relative datum paths: the config block echoes them into the output
+    monkeypatch.chdir(tmp_path)
+    taft = rank_one_datum(group_order=3, q_order=3)
+    (tmp_path / "taft3.json").write_text(json.dumps(datum_to_json(taft)))
+    cocycle = chi_cocycle(3)
+    elems = transposition_elements(3)
+    s3 = datum_from_generators(
+        BraidedSpace(cocycle.rack, cocycle),
+        FiniteGroup.from_permutations(elems, label="S3"),
+        elems,
+    )
+    (tmp_path / "s3chi.json").write_text(json.dumps(datum_to_json(s3)))
+    for argv, digest in GOLDEN.items():
+        code, out, err = run(capsys, *argv, "--no-meta")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

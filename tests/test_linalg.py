@@ -12,11 +12,14 @@ from rackcover.linalg import (
     ExactMatrix,
     IncrementalSpan,
     abelian_invariants,
+    add_terms,
+    axpy,
     determinant,
     rank_kernel,
     smith_normal_form,
     support_minimal_vectors,
 )
+from rackcover.linalg import _eliminate
 
 
 def orbit_matrix(m, lam):
@@ -315,3 +318,84 @@ def test_incremental_span_coordinates():
     assert coords == {10: CycScalar.one(), 20: CycScalar.one()}
     assert span.coordinates(as_vec([0, 0, 0, 1])) is None
     assert span.contains(v1)
+
+
+# --- sparse accumulation kernel -----------------------------------------------
+
+
+def test_axpy_drops_cancelled_entry_and_keeps_source():
+    target = as_vec([1, 2, 3])
+    source = as_vec([1, 0, 3, 4])
+    snapshot = dict(source)
+    axpy(target, CycScalar.rational(-1), source)
+    assert target == {1: CycScalar.rational(2), 3: CycScalar.rational(-4)}
+    assert source == snapshot
+
+
+def test_kernel_never_stores_zero():
+    rng = random.Random(5)
+    target = {}
+    for _ in range(200):
+        key = rng.randrange(4)
+        add_terms(target, [(key, CycScalar.rational(rng.randint(-2, 2) or 1))])
+        assert all(not value.is_zero for value in target.values())
+    axpy(target, CycScalar.rational(-1), dict(target))
+    assert target == {}
+
+
+def test_kernel_mixes_field_orders():
+    z3 = root_of_unity(3)
+    minus_one = root_of_unity(2)  # -1 stored over Q(zeta_2)
+    target = {0: z3, 1: CycScalar.one(3)}
+    # -1 * (z3 + z3^2) = 1 over Q(zeta_6): the cancellation crosses orders
+    axpy(target, minus_one, {0: z3, 1: z3 + z3 * z3, 2: CycScalar.one()})
+    # zero-free dicts compare exactly with ==, whatever order a value is kept in
+    assert target == {1: CycScalar.rational(2), 2: CycScalar.rational(-1)}
+    assert target[1].order == 6
+    add_terms(target, [(1, CycScalar.rational(-2))])
+    assert target == {2: -CycScalar.one()}
+
+
+def test_unit_coordinates_match_span_membership():
+    rng = random.Random(23)
+    for _ in range(80):
+        ambient = rng.randint(1, 7)
+        vectors = []
+        for _ in range(rng.randint(1, ambient)):
+            vec = [rng.randint(-2, 2) if rng.random() < 0.5 else 0 for _ in range(ambient)]
+            vectors.append(as_vec(vec))
+        vectors = [v for v in vectors if v]
+        span = IncrementalSpan()
+        for tag, vec in enumerate(vectors):
+            span.add(vec, tag)
+        expected = {i for i in range(ambient) if span.contains({i: CycScalar.one()})}
+        pivots = _eliminate(vectors)
+        assert {col for col, row in pivots if len(row) == 1} == expected
+        _, units = support_minimal_vectors(vectors, ambient)
+        assert units == (expected if vectors else set())
+
+
+def test_elimination_leaves_inputs_unchanged():
+    rng = random.Random(29)
+    z3 = root_of_unity(3)
+    vectors = [
+        {c: z3 ** rng.randrange(3) for c in range(6) if rng.random() < 0.6}
+        for _ in range(5)
+    ]
+    vectors = [v for v in vectors if v]
+    snapshot = [dict(v) for v in vectors]
+    matrix = ExactMatrix(
+        len(vectors), 6, {(r, c): x for r, v in enumerate(vectors) for c, x in v.items()}
+    )
+    entries = dict(matrix.entries)
+    _eliminate(vectors)
+    rank_kernel(matrix)
+    support_minimal_vectors(vectors, 6)
+    span = IncrementalSpan()
+    for tag, vec in enumerate(vectors):
+        span.add(vec, tag)
+        span.coordinates(vec)
+    square = ExactMatrix(6, 6, {(r, c): x for (r, c), x in entries.items()})
+    determinant(square)
+    assert vectors == snapshot
+    assert matrix.entries == entries

@@ -97,6 +97,22 @@ def _transposition_count_to_n(rack) -> int:
     raise ValidationError("the chi cocycle needs a transpositions(n) rack")
 
 
+def _parse_images(text: str, elements) -> list:
+    """The elements named by a comma-separated list of 1-based indices."""
+    images = []
+    for value in text.split(","):
+        try:
+            i = int(value)
+        except ValueError:
+            raise ValidationError(f"--images: {value!r} is not an integer") from None
+        if not 1 <= i <= len(elements):
+            raise ValidationError(
+                f"--images: index {i} is outside 1..{len(elements)}"
+            )
+        images.append(elements[i - 1])
+    return images
+
+
 def _space(args) -> BraidedSpace:
     rack = _resolve_rack(args)
     cocycle = _resolve_cocycle(rack, args.cocycle)
@@ -319,8 +335,7 @@ def cmd_group_quotient(args):
         target = load_group_json(_load_json(args.group))
         if not args.images:
             raise ValidationError("need --images with --group")
-        indices = [int(v) for v in args.images.split(",")]
-        images = [target.elements[i - 1] for i in indices]
+        images = _parse_images(args.images, target.elements)
         hom = verify_quotient(enveloping_presentation(rack), target, images)
     else:
         hom = rack_inner_hom(rack)
@@ -352,8 +367,7 @@ def cmd_group_tc(args):
 def cmd_group_coverings(args):
     source = load_group_json(_load_json(args.group))
     target = load_group_json(_load_json(args.target))
-    indices = [int(v) for v in args.images.split(",")]
-    images = [target.elements[i - 1] for i in indices]
+    images = _parse_images(args.images, target.elements)
     hom = hom_from_generator_images(source, target, images)
     lattice = covering_lattice(hom)
     _emit(
@@ -409,8 +423,7 @@ def cmd_hopf_cover(args):
 
     source = datum_from_json(_load_json(args.source))
     target = datum_from_json(_load_json(args.target))
-    indices = [int(v) for v in args.images.split(",")]
-    images = [target.group.elements[i - 1] for i in indices]
+    images = _parse_images(args.images, target.group.elements)
     hom = hom_from_generator_images(source.group, target.group, images)
     result = covering_map_check(source, target, hom, cutoff=args.cutoff)
     _emit(

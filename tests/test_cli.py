@@ -283,6 +283,35 @@ def test_malformed_input_file_exits_one(tmp_path, capsys, name, data, argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _images_argv(tmp_path, command):
+    """argv for a command taking --images; every target group is C2."""
+    if command == "hopf cover":
+        source = tmp_path / "source.json"
+        target = tmp_path / "target.json"
+        source.write_text(json.dumps(datum_to_json(rank_one_datum(4, 2))))
+        target.write_text(json.dumps(datum_to_json(rank_one_datum(2, 2))))
+        return ["hopf", "cover", "--source", str(source), "--target", str(target)]
+    c2 = tmp_path / "c2.json"
+    c2.write_text(json.dumps(group_to_json(FiniteGroup.from_permutations([(1, 0)]))))
+    if command == "group quotient":
+        return ["group", "quotient", "--builtin", "abelian:1", "--group", str(c2)]
+    c4 = tmp_path / "c4.json"
+    c4.write_text(json.dumps(group_to_json(FiniteGroup.from_permutations([(1, 2, 3, 0)]))))
+    return ["group", "coverings", "--group", str(c4), "--target", str(c2)]
+
+
+# "3" is one past the order of the target C2; "0" used to pick its last element
+@pytest.mark.parametrize("images", ["x", "0", "3"])
+@pytest.mark.parametrize("command", ["group quotient", "group coverings", "hopf cover"])
+def test_bad_images_exit_one(tmp_path, capsys, command, images):
+    argv = _images_argv(tmp_path, command)
+    code, out, err = run(capsys, *argv, "--images", images, "--no-meta")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --images: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # sha256 of the --no-meta stdout as the README promises it byte-stable; a
 # change of these digests is a change of the output format or of a result
 GOLDEN = {

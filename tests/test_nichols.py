@@ -2,14 +2,18 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rackcover.braiding import BraidedSpace, Cocycle, chi_cocycle, quadratic_analysis
 from rackcover.cyclotomic import CycScalar, root_of_unity
-from rackcover.errors import BoundExceededError
+from rackcover.errors import BoundExceededError, InternalCheckError
 from rackcover.nichols import (
     GradedBasis,
+    GradedReport,
     MinimalElement,
     TensorWords,
+    _check_graded_report,
     compose_word,
     covering_relators,
     grading_consistency,
@@ -24,8 +28,15 @@ from rackcover.nichols import (
     words_consistent,
 )
 from rackcover.presentations import relator_key
-from rackcover.racks import Rack, abelian_rack, affine_rack, transpositions_rack
+from rackcover.racks import (
+    Rack,
+    abelian_rack,
+    affine_rack,
+    catalog,
+    transpositions_rack,
+)
 from tests.oracle_dense import (
+    dense_symmetrizer_columns,
     gaussian_factorial,
     oracle_graded_dims,
 )
@@ -165,6 +176,15 @@ def test_cartan_zeta3_dims_vs_oracle():
     assert report.dims[2] == 4  # d^2 - 0 quadratic relations
 
 
+def test_cartan_zeta3_full_series():
+    # type A2 at a primitive cube root of unity: series (3)_t^2 (3)_{t^2},
+    # top degree 8, dimension 27
+    report = hilbert_series(cartan_zeta3_space(), 10)
+    assert report.dims == (1, 2, 4, 4, 5, 4, 4, 2, 1, 0, 0)
+    assert report.terminated_at == 9
+    assert report.total == 27
+
+
 def test_hilbert_series_bound_carries_partial():
     space = space_const_minus_one(transpositions_rack(3))
     with pytest.raises(BoundExceededError) as err:
@@ -189,6 +209,94 @@ def test_hilbert_series_invariant_under_relabeling():
         relabeled, Cocycle(relabeled, 2, tuple(tuple(r) for r in exp))
     )
     assert hilbert_series(space, 4).dims == hilbert_series(moved, 4).dims
+
+
+def _constant_space(name, order):
+    rack = catalog(name)
+    return BraidedSpace(rack, Cocycle.constant(rack, order))
+
+
+def zeta4_diagonal_space():
+    rack = abelian_rack(2)
+    return BraidedSpace(rack, Cocycle(rack, 4, ((1, 2), (3, 1))))
+
+
+# (space, top degree); degree 5 only where d <= 3
+ORACLE_SPACES = {
+    "transpositions3-minus1": (lambda: _constant_space("transpositions:3", 2), 5),
+    "transpositions3-chi": (lambda: chi_space(3), 5),
+    "transpositions3-zeta3": (lambda: _constant_space("transpositions:3", 3), 5),
+    "abelian2-zeta3": (cartan_zeta3_space, 5),
+    "abelian2-zeta4": (zeta4_diagonal_space, 5),
+    "tetrahedron-minus1": (lambda: _constant_space("tetrahedron", 2), 4),
+    "affine52-minus1": (lambda: _constant_space("affine:5,2", 2), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SPACES))
+def test_symmetrizer_entries_match_dense_oracle(name):
+    # entry for entry, so the order of the factors of T'_n is pinned: the
+    # mirrored sum of c_{n-1} ... c_k gives dimension 12, not 3, at S3
+    # degree 3
+    build, top = ORACLE_SPACES[name]
+    space = build()
+    for degree in range(top + 1):
+        words = TensorWords(space, degree)
+        expected = {
+            (words.index(image), words.index(start)): value
+            for start, column in dense_symmetrizer_columns(space, degree).items()
+            for image, value in column.items()
+        }
+        assert symmetrizer_matrix(space, degree).entries == expected
+
+
+SMALL_RACKS = [
+    "abelian:1", "abelian:2", "abelian:3", "abelian:4", "affine:3,2",
+    "dihedral:3", "dihedral:4", "transpositions:3", "tetrahedron",
+    "reflections_D4",
+]
+
+
+@given(
+    name=st.sampled_from(SMALL_RACKS),
+    seed=st.integers(0, 2**16),
+    order=st.integers(1, 4),
+    degree=st.integers(2, 4),
+)
+def test_ranks_match_oracle_under_relabeling(name, seed, order, degree):
+    space = _constant_space(name, order)
+    perm = list(range(space.dim))
+    random.Random(seed).shuffle(perm)
+    relabeled = space.rack.relabel(tuple(perm))
+    moved = BraidedSpace(relabeled, Cocycle.constant(relabeled, order))
+    ranks = [symmetrizer_rank(space, n) for n in range(degree + 1)]
+    assert ranks == oracle_graded_dims(space, degree)
+    assert ranks == [symmetrizer_rank(moved, n) for n in range(degree + 1)]
+
+
+def _report(dims, terminated_at=None):
+    return GradedReport(
+        dims=tuple(dims),
+        kernel_dims=(0,) * len(dims),
+        cutoff=len(dims) - 1,
+        terminated_at=terminated_at,
+        computed=(True,) * len(dims),
+    )
+
+
+@pytest.mark.parametrize(
+    "dims,terminated_at",
+    [
+        ((1, 3, 4, 13), None),  # 13 > 3 * 4
+        ((1, 3, 4, 3, 2, 0), 5),  # top degree not one-dimensional
+        ((1, 3, 4, 4, 1, 0), 5),  # not palindromic
+    ],
+)
+def test_graded_report_invariants_reject_bad_series(dims, terminated_at):
+    space = chi_space(3)
+    _check_graded_report(space, _report((1, 3, 4, 3, 1, 0), 5))
+    with pytest.raises(InternalCheckError):
+        _check_graded_report(space, _report(dims, terminated_at))
 
 
 # --- shuffle factorization ------------------------------------------------------

@@ -7,7 +7,13 @@ The bosonization has basis {b # g} with b running through the chosen
 graded image bases and g in G:
 
 * product:   (b # g)(b' # g') = (b * g.b') # g g',  with * the braided
-  shuffle product of graded components;
+  shuffle product of graded components.  It is read off symmetrizer
+  columns: for b = S_m e_u and b' = S_n e_v (u, v their kept words),
+  b * g.b' = s S_{m+n} e_{u w}, where g.v = (w, s) is the monomial action
+  letter by letter and u w the concatenated word.  This holds because
+  S_{m+n} = Sh_{m,n} (S_m (x) S_n), Sh_{m,n} the sum of the shuffle lifts
+  (Milinski-Schneider 2000), and S_n commutes with the diagonal G-action
+  since the braiding is a Yetter-Drinfeld map;
 * coproduct: deconcatenate b and insert the group degree of the right
   part: (b # g) -> sum (b1 # deg(b2) g) (x) (b2 # g);
 * antipode:  synthesized degree by degree as the convolution inverse of
@@ -35,7 +41,7 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .linalg import IncrementalSpan, add_terms, axpy
-from .nichols import GradedBasis, TensorWords, matsumoto_lift, shuffle_perms
+from .nichols import GradedBasis
 
 BasisKey = tuple[int, int, int]  # (degree, basis index, group element index)
 Element = dict  # BasisKey -> CycScalar
@@ -52,6 +58,19 @@ class YDDatum:
 
     def act_index(self, g, x: int) -> tuple[int, CycScalar]:
         return self.action[g][x]
+
+    def act_on_word(self, g, word) -> tuple[tuple, CycScalar]:
+        """g acting on a word letter by letter: (g.x1 ... g.xn, s1 ... sn).
+        The product starts from 1 in Q(zeta_N), N the cocycle order, so
+        slice constants keep the field order of the symmetrizer's scalars,
+        which the exported 'N k' forms are written in."""
+        scalar = CycScalar.one(self.space.cocycle.order)
+        out = []
+        for x in word:
+            tx, s = self.action[g][x]
+            out.append(tx)
+            scalar = scalar * s
+        return tuple(out), scalar
 
     def degree_of_word(self, word) -> object:
         acc = self.group.identity
@@ -245,7 +264,11 @@ class _PairSolver:
             for j, vj in enumerate(right.vectors):
                 tag = len(self.pairs)
                 self.pairs.append((i, j))
-                if not self.span.add(tensor_product(vi, vj, self.shift), tag):
+                tensor = {
+                    u * self.shift + v: cu * cv
+                    for u, cu in vi.items() for v, cv in vj.items()
+                }
+                if not self.span.add(tensor, tag):
                     raise InternalCheckError(
                         "tensor products of graded basis vectors are dependent"
                     )
@@ -303,35 +326,6 @@ class GradedHopfSlice:
         return out
 
 
-def _act_on_vector(datum: YDDatum, g, degree: int, vector, words: TensorWords):
-    """Diagonal action of g on a tensor-space vector (word-index keyed)."""
-    out = {}
-    for idx, coeff in vector.items():
-        scalar = coeff
-        new_word = []
-        for x in words.word(idx):
-            tx, s = datum.act_index(g, x)
-            new_word.append(tx)
-            scalar = scalar * s
-        add_terms(out, [(words.index(tuple(new_word)), scalar)])
-    return out
-
-
-def tensor_product(a: dict, b: dict, shift: int) -> dict:
-    """a (x) b over word indices, with (u, v) at index u * shift + v."""
-    return {u * shift + v: cu * cv for u, cu in a.items() for v, cv in b.items()}
-
-
-def _shuffle_multiply(space, words_total: TensorWords, m: int, n: int, a, b):
-    """Braided shuffle product of vectors of degrees m and n."""
-    tensor = tensor_product(a, b, space.dim**n)
-    out = {}
-    for perm in shuffle_perms(m, n):
-        letters = matsumoto_lift(perm)
-        add_terms(out, words_total.apply_word_to_vector(letters, tensor).items())
-    return out
-
-
 def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfSlice:
     """Assemble product, coproduct and antipode structure constants on the
     basis {b # g} up to the degree cutoff."""
@@ -343,7 +337,6 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
     total = sum(dims) * group.order
     if total > max_dim:
         raise BoundExceededError(f"slice dimension {total} exceeds {max_dim}")
-    words_by_degree = [TensorWords(space, n) for n in range(cutoff + 1)]
     basis_keys: list[BasisKey] = []
     for n in range(cutoff + 1):
         for i in range(dims[n]):
@@ -353,39 +346,41 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
     elements = group.elements
 
     # --- product ---------------------------------------------------------
+    # b_i1 * g1.b_i2 = s S_{n1+n2} e_{t1 w}, g1.(word of t2) = (w, s): one
+    # column lookup and one solve per (i1, g1, i2); g2 only moves the key
     product: dict = {}
     for n1 in range(cutoff + 1):
         for n2 in range(cutoff + 1 - n1):
             total_deg = n1 + n2
             target_basis = bases[total_deg]
-            words_total = words_by_degree[total_deg]
-            for i1 in range(dims[n1]):
-                vec1 = bases[n1].vectors[i1]
-                for g1 in elements:
-                    gi1 = group.index(g1)
-                    for i2 in range(dims[n2]):
-                        for g2 in elements:
-                            gi2 = group.index(g2)
-                            acted = _act_on_vector(
-                                datum, g1, n2, bases[n2].vectors[i2],
-                                words_by_degree[n2],
+            words = bases[n2].words
+            shift = d**n2
+            for i1, t1 in enumerate(bases[n1].tags):
+                for gi1, g1 in enumerate(elements):
+                    for i2, t2 in enumerate(bases[n2].tags):
+                        word, s = datum.act_on_word(g1, words.word(t2))
+                        column = t1 * shift + words.index(word)
+                        coords = target_basis.coordinates(
+                            target_basis.columns.get(column, {})
+                        )
+                        if coords is None:
+                            raise InternalCheckError(
+                                "product left the graded image basis"
                             )
-                            merged = _shuffle_multiply(
-                                space, words_total, n1, n2, vec1, acted
-                            )
-                            coords = target_basis.coordinates(merged)
-                            if coords is None:
-                                raise InternalCheckError(
-                                    "product left the graded image basis"
-                                )
+                        terms = [
+                            (it, coeff * s)
+                            for it, coeff in enumerate(coords)
+                            if not coeff.is_zero
+                        ]
+                        for gi2, g2 in enumerate(elements):
                             g12 = group.index(group.mul(g1, g2))
                             product[((n1, i1, gi1), (n2, i2, gi2))] = {
-                                (total_deg, it, g12): coeff
-                                for it, coeff in enumerate(coords)
-                                if not coeff.is_zero
+                                (total_deg, it, g12): coeff for it, coeff in terms
                             }
 
     # --- coproduct -------------------------------------------------------
+    # the split of b_i into group-degree buckets and their coordinates do
+    # not depend on g; only the left group element left_g does
     pair_solvers = {}
     for n in range(cutoff + 1):
         for k in range(n + 1):
@@ -394,34 +389,30 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
             )
     coproduct: dict = {}
     for n in range(cutoff + 1):
-        words_n = words_by_degree[n]
-        for i in range(dims[n]):
-            vec = bases[n].vectors[i]
-            for g in elements:
-                gi = group.index(g)
-                terms: dict = {}
-                for k in range(n + 1):
-                    shift = d ** (n - k)
-                    buckets: dict = {}
-                    for idx, coeff in vec.items():
-                        u, v = divmod(idx, shift)
-                        word_v = words_by_degree[n - k].word(v) if n - k else ()
-                        gdeg = datum.degree_of_word(word_v)
-                        key = group.index(gdeg)
-                        buckets.setdefault(key, {})[idx] = coeff
-                    for degi, bucket in sorted(buckets.items()):
-                        coords = pair_solvers[(k, n - k)].coordinates(bucket)
-                        if coords is None:
-                            raise InternalCheckError(
-                                "deconcatenation left the graded tensor basis"
-                            )
-                        left_g = group.index(
-                            group.mul(elements[degi], g)
+        for i, vec in enumerate(bases[n].vectors):
+            solved = []
+            for k in range(n + 1):
+                words = bases[n - k].words
+                shift = d ** (n - k)
+                buckets: dict = {}
+                for idx, coeff in vec.items():
+                    gdeg = datum.degree_of_word(words.word(idx % shift))
+                    buckets.setdefault(group.index(gdeg), {})[idx] = coeff
+                for degi, bucket in sorted(buckets.items()):
+                    coords = pair_solvers[(k, n - k)].coordinates(bucket)
+                    if coords is None:
+                        raise InternalCheckError(
+                            "deconcatenation left the graded tensor basis"
                         )
-                        add_terms(terms, (
-                            (((k, i1, left_g), (n - k, i2, gi)), coeff)
-                            for (i1, i2), coeff in sorted(coords.items())
-                        ))
+                    solved.append((k, elements[degi], sorted(coords.items())))
+            for gi, g in enumerate(elements):
+                terms: dict = {}
+                for k, gdeg, coords in solved:
+                    left_g = group.index(group.mul(gdeg, g))
+                    add_terms(terms, (
+                        (((k, i1, left_g), (n - k, i2, gi)), coeff)
+                        for (i1, i2), coeff in coords
+                    ))
                 coproduct[(n, i, gi)] = terms
 
     slice_ = GradedHopfSlice(

@@ -686,10 +686,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_nonnegative(args):
+    """Degree bounds are nonnegative, for every command that takes one."""
+    for name in ("max_degree", "cutoff"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be nonnegative, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_nonnegative(args)
         args.func(args)
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)

@@ -163,8 +163,16 @@ def rank_kernel(matrix: ExactMatrix) -> tuple[int, list[Vector]]:
             if coeff is not None:
                 vec[col] = -coeff
         kernel.append(vec)
+    # A v = sum of v[c] * (column c), so one column index serves every vector
+    columns = matrix.columns() if kernel else {}
     for vec in kernel:
-        if matrix.apply(vec):
+        image: Vector = {}
+        add_terms(image, (
+            (r, value * coeff)
+            for c, coeff in vec.items()
+            for r, value in columns.get(c, {}).items()
+        ))
+        if image:
             raise InternalCheckError("kernel vector not annihilated")
     if len(pivots) + len(kernel) != matrix.cols:
         raise InternalCheckError("rank + nullity != cols")

@@ -13,7 +13,9 @@ S_n = T'_n (S_{n-1} (x) id), T'_n = sum_{k=1..n} c_k c_{k+1} ... c_{n-1}
 permutation factors uniquely as (s_k ... s_{n-1}) (sigma' x 1) with
 lengths adding, so the lifts match term for term.  Degree n then costs
 nnz(S_{n-1}) * d * n monomial steps instead of n! * d^n * l.  The direct
-sum survives only as the dense oracle in the tests.
+sum survives only as the dense oracle in the tests, and the braided
+shuffle product only as the shuffle oracle there (the bosonization reads
+its products off symmetrizer columns).
 
 Everything acts monomially on words (tuples of rack elements), so
 operators are stored as index permutations plus root-of-unity exponents;
@@ -36,7 +38,6 @@ Higher machinery built on the graded pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .braiding import BraidedSpace, quadratic_analysis
 from .cyclotomic import CycScalar
@@ -45,76 +46,12 @@ from .groups import identity_perm, perm_compose
 from .linalg import (
     ExactMatrix,
     IncrementalSpan,
-    add_terms,
     rank_kernel,
     support_minimal_vectors,
 )
 from .presentations import Presentation, Word, free_reduce
 
 RackWord = tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# Permutations and reduced words
-# ---------------------------------------------------------------------------
-
-
-def inversion_count(perm) -> int:
-    return sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-
-
-def matsumoto_lift(perm) -> tuple[int, ...]:
-    """The canonical reduced word of a permutation: letters are 1-based
-    (letter i is the adjacent swap of slots i-1 and i), chosen greedily by
-    the smallest left descent, which yields the lexicographically smallest
-    reduced word.  Its length is the inversion count."""
-    perm = tuple(perm)
-    n = len(perm)
-    positions = [0] * n
-    for pos, val in enumerate(perm):
-        positions[val] = pos
-    current = list(perm)
-    pos = positions
-    word = []
-    while True:
-        descent = next(
-            (i for i in range(n - 1) if pos[i] > pos[i + 1]), None
-        )
-        if descent is None:
-            break
-        word.append(descent + 1)
-        # multiply by the swap of values descent, descent + 1 on the left
-        pa, pb = pos[descent], pos[descent + 1]
-        current[pa], current[pb] = current[pb], current[pa]
-        pos[descent], pos[descent + 1] = pb, pa
-    return tuple(word)
-
-
-def compose_word(word, n) -> tuple[int, ...]:
-    """The permutation s_{i1} ... s_{ik} for a 1-based letter word."""
-    acc = identity_perm(n)
-    for letter in word:
-        i = letter - 1
-        swap = list(range(n))
-        swap[i], swap[i + 1] = i + 1, i
-        acc = perm_compose(acc, tuple(swap))
-    return acc
-
-
-def shuffle_perms(m: int, n: int) -> list[tuple[int, ...]]:
-    """Minimal-length representatives of the cosets sigma * (S_m x S_n):
-    permutations increasing on the first m and the last n positions."""
-    total = m + n
-    out = []
-    for first_values in combinations(range(total), m):
-        rest = [v for v in range(total) if v not in first_values]
-        out.append(tuple(list(first_values) + rest))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,26 +103,6 @@ class TensorWords:
             tables.append((perm, delta))
         self._tables = tables
         return tables
-
-    def apply_word(self, letters, idx: int) -> tuple[int, int]:
-        """Walk e_idx through the braid word (rightmost letter first);
-        returns (image index, scalar exponent)."""
-        tables = self.generator_tables()
-        e = 0
-        for letter in reversed(letters):
-            perm, delta = tables[letter - 1]
-            e += delta[idx]
-            idx = perm[idx]
-        return idx, e
-
-    def apply_word_to_vector(self, letters, vector: dict) -> dict:
-        """Apply a braid-word lift to a sparse vector over word indices."""
-        N = self.space.cocycle.order
-        out: dict[int, CycScalar] = {}
-        for idx, coeff in vector.items():
-            tgt, e = self.apply_word(letters, idx)
-            add_terms(out, [(tgt, coeff * CycScalar.root_of_unity(N, e))])
-        return out
 
 
 def _add_rotated(counts: dict, key, slot, shift: int) -> None:
@@ -376,29 +293,23 @@ def _check_graded_report(space: BraidedSpace, report: GradedReport):
 
 class GradedBasis:
     """The lexicographically-first maximal independent subset of symmetrized
-    word images in one degree; provides exact coordinates in that basis."""
+    word images in one degree; provides exact coordinates in that basis.
+
+    `columns` holds every nonzero column S_n e_w by word index w, so the
+    image of any word is one lookup; `vectors[i]` is the column of the
+    kept word `tags[i]`."""
 
     def __init__(self, space: BraidedSpace, degree: int, max_cols: int = 10**4):
         self.space = space
         self.degree = degree
         self.words = TensorWords(space, degree)
+        self.columns = symmetrizer_matrix(space, degree, max_cols).columns()
         self.span = IncrementalSpan()
-        self.vectors: list[dict[int, CycScalar]] = []
-        self.tags: list[int] = []
-        if degree == 0:
-            self.span.add({0: CycScalar.one()}, tag=0)
-            self.vectors.append({0: CycScalar.one()})
-            self.tags.append(0)
-            return
-        matrix = symmetrizer_matrix(space, degree, max_cols)
-        columns = matrix.columns()
-        for c in range(matrix.cols):
-            col = columns.get(c)
-            if not col:
-                continue
-            if self.span.add(dict(col), tag=c):
-                self.vectors.append(dict(col))
-                self.tags.append(c)
+        for c in sorted(self.columns):
+            self.span.add(self.columns[c], tag=c)
+        self.tags = self.span.kept
+        self.vectors = [self.columns[c] for c in self.tags]
+        self._position = {tag: i for i, tag in enumerate(self.tags)}
 
     @property
     def dim(self) -> int:
@@ -409,9 +320,8 @@ class GradedBasis:
         if coords is None:
             return None
         out = [CycScalar.zero() for _ in self.tags]
-        position = {tag: i for i, tag in enumerate(self.tags)}
         for tag, value in coords.items():
-            out[position[tag]] = value
+            out[self._position[tag]] = value
         return out
 
 

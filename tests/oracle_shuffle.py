@@ -1,0 +1,211 @@
+"""Shuffle-lift oracle: the braided shuffle product as a sum of braid lifts.
+
+The library reads bosonization products off symmetrizer columns
+(`S_{m+n} = Sh_{m,n} (S_m (x) S_n)`).  This module keeps the direct
+construction it replaced, as a second path to compare against:
+Matsumoto lifts of the minimal coset representatives of S_m x S_n, applied
+to tensor words through the braid-generator tables, and the bosonization
+product and coproduct built from them one group element at a time.
+"""
+
+from itertools import combinations
+
+from rackcover.bosonization import GradedHopfSlice, _synthesize_antipode
+from rackcover.cyclotomic import CycScalar
+from rackcover.groups import identity_perm, perm_compose
+from rackcover.linalg import IncrementalSpan, add_terms
+from rackcover.nichols import GradedBasis, TensorWords
+
+
+# --- permutations and reduced words ---------------------------------------------
+
+
+def inversion_count(perm) -> int:
+    return sum(
+        1
+        for i in range(len(perm))
+        for j in range(i + 1, len(perm))
+        if perm[i] > perm[j]
+    )
+
+
+def matsumoto_lift(perm) -> tuple[int, ...]:
+    """The canonical reduced word of a permutation: letters are 1-based
+    (letter i is the adjacent swap of slots i-1 and i), chosen greedily by
+    the smallest left descent, which yields the lexicographically smallest
+    reduced word.  Its length is the inversion count."""
+    perm = tuple(perm)
+    n = len(perm)
+    positions = [0] * n
+    for pos, val in enumerate(perm):
+        positions[val] = pos
+    current = list(perm)
+    pos = positions
+    word = []
+    while True:
+        descent = next(
+            (i for i in range(n - 1) if pos[i] > pos[i + 1]), None
+        )
+        if descent is None:
+            break
+        word.append(descent + 1)
+        # multiply by the swap of values descent, descent + 1 on the left
+        pa, pb = pos[descent], pos[descent + 1]
+        current[pa], current[pb] = current[pb], current[pa]
+        pos[descent], pos[descent + 1] = pb, pa
+    return tuple(word)
+
+
+def compose_word(word, n) -> tuple[int, ...]:
+    """The permutation s_{i1} ... s_{ik} for a 1-based letter word."""
+    acc = identity_perm(n)
+    for letter in word:
+        i = letter - 1
+        swap = list(range(n))
+        swap[i], swap[i + 1] = i + 1, i
+        acc = perm_compose(acc, tuple(swap))
+    return acc
+
+
+def shuffle_perms(m: int, n: int) -> list[tuple[int, ...]]:
+    """Minimal-length representatives of the cosets sigma * (S_m x S_n):
+    permutations increasing on the first m and the last n positions."""
+    total = m + n
+    out = []
+    for first_values in combinations(range(total), m):
+        rest = [v for v in range(total) if v not in first_values]
+        out.append(tuple(list(first_values) + rest))
+    return out
+
+
+# --- braid lifts on tensor words ---------------------------------------------------
+
+
+def apply_word(words: TensorWords, letters, idx: int) -> tuple[int, int]:
+    """Walk e_idx through the braid word (rightmost letter first);
+    returns (image index, scalar exponent)."""
+    tables = words.generator_tables()
+    e = 0
+    for letter in reversed(letters):
+        perm, delta = tables[letter - 1]
+        e += delta[idx]
+        idx = perm[idx]
+    return idx, e
+
+
+def apply_word_to_vector(words: TensorWords, letters, vector: dict) -> dict:
+    """Apply a braid-word lift to a sparse vector over word indices."""
+    N = words.space.cocycle.order
+    out: dict = {}
+    for idx, coeff in vector.items():
+        tgt, e = apply_word(words, letters, idx)
+        add_terms(out, [(tgt, coeff * CycScalar.root_of_unity(N, e))])
+    return out
+
+
+def tensor_product(a: dict, b: dict, shift: int) -> dict:
+    """a (x) b over word indices, with (u, v) at index u * shift + v."""
+    return {u * shift + v: cu * cv for u, cu in a.items() for v, cv in b.items()}
+
+
+def shuffle_multiply(space, words_total: TensorWords, m: int, n: int, a, b) -> dict:
+    """Braided shuffle product of vectors of degrees m and n."""
+    tensor = tensor_product(a, b, space.dim**n)
+    out: dict = {}
+    for perm in shuffle_perms(m, n):
+        letters = matsumoto_lift(perm)
+        add_terms(out, apply_word_to_vector(words_total, letters, tensor).items())
+    return out
+
+
+# --- the bosonization slice, one group element at a time ------------------------
+
+
+def act_on_vector(datum, g, vector, words: TensorWords) -> dict:
+    """Diagonal action of g on a tensor-space vector (word-index keyed)."""
+    out: dict = {}
+    for idx, coeff in vector.items():
+        scalar = coeff
+        new_word = []
+        for x in words.word(idx):
+            tx, s = datum.act_index(g, x)
+            new_word.append(tx)
+            scalar = scalar * s
+        add_terms(out, [(words.index(tuple(new_word)), scalar)])
+    return out
+
+
+def shuffle_slice(datum, cutoff: int) -> GradedHopfSlice:
+    """The slice with every product b_i1 * g1.b_i2 summed over shuffle
+    lifts and every coproduct split solved again for each group element;
+    the antipode is synthesized from these as in the library."""
+    space, group = datum.space, datum.group
+    d = space.dim
+    elements = group.elements
+    bases = [GradedBasis(space, n) for n in range(cutoff + 1)]
+    dims = tuple(basis.dim for basis in bases)
+    words = [TensorWords(space, n) for n in range(cutoff + 1)]
+    keys = [
+        (n, i, gi)
+        for n in range(cutoff + 1)
+        for i in range(dims[n])
+        for gi in range(group.order)
+    ]
+
+    product: dict = {}
+    for n1 in range(cutoff + 1):
+        for n2 in range(cutoff + 1 - n1):
+            total = n1 + n2
+            for i1, vec1 in enumerate(bases[n1].vectors):
+                for gi1, g1 in enumerate(elements):
+                    for i2, vec2 in enumerate(bases[n2].vectors):
+                        acted = act_on_vector(datum, g1, vec2, words[n2])
+                        merged = shuffle_multiply(space, words[total], n1, n2, vec1, acted)
+                        coords = bases[total].coordinates(merged)
+                        assert coords is not None
+                        for gi2, g2 in enumerate(elements):
+                            g12 = group.index(group.mul(g1, g2))
+                            product[((n1, i1, gi1), (n2, i2, gi2))] = {
+                                (total, it, g12): c
+                                for it, c in enumerate(coords)
+                                if not c.is_zero
+                            }
+
+    coproduct: dict = {}
+    for n in range(cutoff + 1):
+        for k in range(n + 1):
+            shift = d ** (n - k)
+            span = IncrementalSpan()
+            pairs = []
+            for i1, left in enumerate(bases[k].vectors):
+                for i2, right in enumerate(bases[n - k].vectors):
+                    assert span.add(tensor_product(left, right, shift), len(pairs))
+                    pairs.append((i1, i2))
+            for i, vec in enumerate(bases[n].vectors):
+                for gi, g in enumerate(elements):
+                    terms = coproduct.setdefault((n, i, gi), {})
+                    buckets: dict = {}
+                    for idx, coeff in vec.items():
+                        gdeg = datum.degree_of_word(words[n - k].word(idx % shift))
+                        buckets.setdefault(group.index(gdeg), {})[idx] = coeff
+                    for degi, bucket in sorted(buckets.items()):
+                        coords = span.coordinates(bucket)
+                        assert coords is not None
+                        left_g = group.index(group.mul(elements[degi], g))
+                        for tag, c in sorted(coords.items()):
+                            i1, i2 = pairs[tag]
+                            add_terms(terms, [(((k, i1, left_g), (n - k, i2, gi)), c)])
+
+    slice_ = GradedHopfSlice(
+        datum=datum,
+        cutoff=cutoff,
+        bases=bases,
+        basis=keys,
+        index={key: pos for pos, key in enumerate(keys)},
+        product=product,
+        coproduct=coproduct,
+        antipode={},
+        dims=dims,
+    )
+    _synthesize_antipode(slice_)
+    return slice_

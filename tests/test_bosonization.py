@@ -19,6 +19,7 @@ from rackcover.errors import AxiomFailsError, ValidationError, YDDatumError
 from rackcover.groups import FiniteGroup
 from rackcover.racks import transpositions_rack
 from rackcover.racks import transposition_elements
+from tests.oracle_shuffle import shuffle_slice
 
 
 def s3_chi_datum():
@@ -37,6 +38,21 @@ def s3_minus_one_datum():
     elems = transposition_elements(3)
     group = FiniteGroup.from_permutations(elems, label="S3")
     return datum_from_generators(space, group, elems)
+
+
+def s3_chi_datum_relabeled(perm):
+    """The S_3 chi datum with rack element x renamed perm[x]: the cocycle
+    and the degrees move with the labels."""
+    cocycle = chi_cocycle(3)
+    rack = cocycle.rack.relabel(perm)
+    inv = [perm.index(x) for x in range(3)]
+    exponents = tuple(
+        tuple(cocycle.exponents[inv[x]][inv[y]] for y in range(3)) for x in range(3)
+    )
+    space = BraidedSpace(rack, Cocycle(rack, cocycle.order, exponents))
+    elems = transposition_elements(3)
+    group = FiniteGroup.from_permutations(elems, label="S3")
+    return datum_from_generators(space, group, [elems[inv[x]] for x in range(3)])
 
 
 # --- datum validation ---------------------------------------------------------
@@ -169,6 +185,37 @@ def test_verify_hopf_detects_a_changed_structure_constant(table):
     structure[key] = {k: v * 2 for k, v in structure[key].items()}
     with pytest.raises(AxiomFailsError):
         verify_hopf(slice_)
+
+
+SHUFFLE_ORACLE_DATA = {
+    "s3-chi": (s3_chi_datum, 3),
+    "s3-minus-one": (s3_minus_one_datum, 3),
+    "s3-chi-relabeled": (lambda: s3_chi_datum_relabeled((2, 0, 1)), 3),
+    "c12-q3": (lambda: rank_one_datum(group_order=12, q_order=3), 2),
+    "c4-q4": (lambda: rank_one_datum(group_order=4, q_order=4), 3),
+}
+
+
+def _exact(table):
+    """Structure constants with each scalar's stored field order, which the
+    exported 'N k' forms depend on."""
+    return {
+        key: {k: (v.order, v.coeffs) for k, v in entry.items()}
+        for key, entry in table.items()
+    }
+
+
+@pytest.mark.parametrize("name", list(SHUFFLE_ORACLE_DATA))
+def test_slice_matches_shuffle_oracle(name):
+    # products read off symmetrizer columns against the sum over shuffle
+    # lifts; the relabeled datum moves every word under the group action
+    build, cutoff = SHUFFLE_ORACLE_DATA[name]
+    datum = build()
+    slice_ = build_slice(datum, cutoff)
+    oracle = shuffle_slice(datum, cutoff)
+    for table in ("product", "coproduct", "antipode"):
+        assert getattr(slice_, table) == getattr(oracle, table), table
+        assert _exact(getattr(slice_, table)) == _exact(getattr(oracle, table)), table
 
 
 def test_sweedler_antipode_values():

@@ -312,6 +312,32 @@ def test_bad_images_exit_one(tmp_path, capsys, command, images):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+NEGATIVE_BOUNDS = {
+    "nichols dims": ["nichols", "dims", "--builtin", "transpositions:3", "--max-degree", "-1"],
+    "nichols minimal":
+        ["nichols", "minimal", "--builtin", "transpositions:3", "--max-degree", "-1"],
+    "nichols relators":
+        ["nichols", "relators", "--builtin", "transpositions:3", "--max-degree", "-1"],
+    "hopf bosonize": ["hopf", "bosonize", "--datum", "DATUM", "--cutoff", "-1", "--verify"],
+    "hopf cover": ["hopf", "cover", "--source", "DATUM", "--target", "DATUM",
+                   "--images", "1", "--cutoff", "-2"],
+}
+
+
+# the parent exited 0 with an empty result, printed "verified": true with no
+# checks, or failed an internal invariant at degree 0
+@pytest.mark.parametrize("command", list(NEGATIVE_BOUNDS))
+def test_negative_degree_bound_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(datum_to_json(rank_one_datum(2, 2))))
+    argv = [str(path) if a == "DATUM" else a for a in NEGATIVE_BOUNDS[command]]
+    code, out, err = run(capsys, *argv, "--no-meta")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --") and "must be nonnegative" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # sha256 of the --no-meta stdout as the README promises it byte-stable; a
 # change of these digests is a change of the output format or of a result
 GOLDEN = {
@@ -321,6 +347,10 @@ GOLDEN = {
     ("hopf", "bosonize", "--datum", "s3chi.json", "--cutoff", "2",
      "--export-structure", "--verify"):
         "17c9b72c4ea7fd30732706c2a60526f8e770d859fd7f8385b5da2049e3071e2e",
+    # pins products of degree 3 and 4, which the cutoff-2 entry does not
+    ("hopf", "bosonize", "--datum", "s3chi.json", "--cutoff", "4",
+     "--export-structure"):
+        "946cf3a549a1e604c1de2974872bb8e3b01fafc3cb333b24a76f5f68d051c1d0",
     ("nichols", "minimal", "--builtin", "tetrahedron", "--max-degree", "3"):
         "2c2a7e8ff47cca757930d346417a3dc5c678391b62158b176980c3dc07b87332",
     ("nichols", "dims", "--builtin", "transpositions:3", "--cocycle", "chi",

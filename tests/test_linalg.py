@@ -7,7 +7,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from rackcover.cyclotomic import CycScalar, root_of_unity
-from rackcover.errors import BoundExceededError, NonSquareError
+from rackcover.errors import BoundExceededError, InternalCheckError, NonSquareError
 from rackcover.linalg import (
     ExactMatrix,
     IncrementalSpan,
@@ -85,6 +85,21 @@ def test_orbit_matrix_m4_lambda1():
     assert r == 3
     assert len(kernel) == 1
     assert determinant(m) == 0
+
+
+def test_rank_kernel_checks_every_kernel_vector(monkeypatch):
+    # the check multiplies each kernel vector through the column index: a
+    # zero column stays free and passes, a wrong pivot row is caught
+    matrix = ExactMatrix(1, 3, {(0, 0): 1, (0, 1): 1})
+    rank, kernel = rank_kernel(matrix)
+    assert rank == 1
+    assert {2: CycScalar.one()} in kernel
+    monkeypatch.setattr(
+        "rackcover.linalg._eliminate",
+        lambda rows: [(0, {0: CycScalar.one(), 1: CycScalar.rational(2)})],
+    )
+    with pytest.raises(InternalCheckError):
+        rank_kernel(matrix)
 
 
 def test_rank_kernel_randomized_identities():

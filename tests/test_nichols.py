@@ -14,14 +14,10 @@ from rackcover.nichols import (
     MinimalElement,
     TensorWords,
     _check_graded_report,
-    compose_word,
     covering_relators,
     grading_consistency,
     hilbert_series,
-    inversion_count,
-    matsumoto_lift,
     minimal_elements,
-    shuffle_perms,
     symmetrizer_matrix,
     symmetrizer_rank,
     word_blocks,
@@ -39,6 +35,14 @@ from tests.oracle_dense import (
     dense_symmetrizer_columns,
     gaussian_factorial,
     oracle_graded_dims,
+)
+from tests.oracle_shuffle import (
+    apply_word,
+    apply_word_to_vector,
+    compose_word,
+    inversion_count,
+    matsumoto_lift,
+    shuffle_perms,
 )
 
 
@@ -61,7 +65,7 @@ def cartan_zeta3_space():
     return BraidedSpace(rack, Cocycle(rack, 3, ((1, 1), (1, 1))))
 
 
-# --- reduced words ------------------------------------------------------------
+# --- reduced words (tests/oracle_shuffle.py) ------------------------------------
 
 
 def test_matsumoto_lift_basics():
@@ -115,9 +119,9 @@ def test_matsumoto_independence_of_reduced_word():
         assert compose_word(word_b, n) == perm
         words = TensorWords(space, n)
         for idx in range(words.size):
-            assert words.apply_word(word_a, idx)[0] == words.apply_word(word_b, idx)[0]
-            ea = words.apply_word(word_a, idx)[1] % space.cocycle.order
-            eb = words.apply_word(word_b, idx)[1] % space.cocycle.order
+            assert apply_word(words, word_a, idx)[0] == apply_word(words, word_b, idx)[0]
+            ea = apply_word(words, word_a, idx)[1] % space.cocycle.order
+            eb = apply_word(words, word_b, idx)[1] % space.cocycle.order
             assert ea == eb
 
 
@@ -334,7 +338,7 @@ def test_symmetrizer_factors_through_shuffles():
                     vec[rm * d**n + rn] = vm * vn
             acc = {}
             for letters in shuffles:
-                image = words.apply_word_to_vector(letters, vec)
+                image = apply_word_to_vector(words, letters, vec)
                 for r, v in image.items():
                     cur = acc.get(r)
                     val = v if cur is None else cur + v
@@ -363,6 +367,18 @@ def test_shuffle_perm_count():
 
 
 # --- graded bases ----------------------------------------------------------------
+
+
+def test_graded_basis_keeps_symmetrizer_columns():
+    space = chi_space(3)
+    assert GradedBasis(space, 0).columns == {0: {0: CycScalar.one()}}
+    for degree in range(1, 4):
+        basis = GradedBasis(space, degree)
+        assert basis.columns == symmetrizer_matrix(space, degree).columns()
+        assert basis.vectors == [basis.columns[t] for t in basis.tags]
+        for i, tag in enumerate(basis.tags):
+            coords = basis.coordinates(basis.columns[tag])
+            assert [c.is_zero for c in coords] == [j != i for j in range(basis.dim)]
 
 
 def test_graded_basis_dimensions_and_coordinates():

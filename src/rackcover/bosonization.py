@@ -40,7 +40,7 @@ from .errors import (
     malformed,
 )
 from .groups import FiniteGroup
-from .linalg import IncrementalSpan, add_terms, axpy
+from .linalg import add_terms, axpy
 from .nichols import GradedBasis
 
 BasisKey = tuple[int, int, int]  # (degree, basis index, group element index)
@@ -251,35 +251,6 @@ def datum_from_generators(space: BraidedSpace, group: FiniteGroup, degrees) -> Y
 # ---------------------------------------------------------------------------
 
 
-class _PairSolver:
-    """Coordinates in the basis {b_i (x) b_j} of one tensor split."""
-
-    def __init__(self, left: GradedBasis, right: GradedBasis, d: int, right_degree: int):
-        self.left = left
-        self.right = right
-        self.shift = d**right_degree
-        self.span = IncrementalSpan()
-        self.pairs: list[tuple[int, int]] = []
-        for i, vi in enumerate(left.vectors):
-            for j, vj in enumerate(right.vectors):
-                tag = len(self.pairs)
-                self.pairs.append((i, j))
-                tensor = {
-                    u * self.shift + v: cu * cv
-                    for u, cu in vi.items() for v, cv in vj.items()
-                }
-                if not self.span.add(tensor, tag):
-                    raise InternalCheckError(
-                        "tensor products of graded basis vectors are dependent"
-                    )
-
-    def coordinates(self, vector) -> dict[tuple[int, int], CycScalar] | None:
-        coords = self.span.coordinates(vector)
-        if coords is None:
-            return None
-        return {self.pairs[tag]: value for tag, value in coords.items()}
-
-
 @dataclass
 class GradedHopfSlice:
     """Structure constants of the bosonization up to a degree cutoff."""
@@ -367,11 +338,7 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
                             raise InternalCheckError(
                                 "product left the graded image basis"
                             )
-                        terms = [
-                            (it, coeff * s)
-                            for it, coeff in enumerate(coords)
-                            if not coeff.is_zero
-                        ]
+                        terms = [(it, coeff * s) for it, coeff in coords.items()]
                         for gi2, g2 in enumerate(elements):
                             g12 = group.index(group.mul(g1, g2))
                             product[((n1, i1, gi1), (n2, i2, gi2))] = {
@@ -379,41 +346,52 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
                             }
 
     # --- coproduct -------------------------------------------------------
-    # the split of b_i into group-degree buckets and their coordinates do
-    # not depend on g; only the left group element left_g does
-    pair_solvers = {}
-    for n in range(cutoff + 1):
-        for k in range(n + 1):
-            pair_solvers[(k, n - k)] = _PairSolver(
-                bases[k], bases[n - k], d, n - k
-            )
+    # The (k, n-k) part of b_i is the matrix U[u, v] = b_i[u d^(n-k) + v],
+    # u the left word and v the right one.  Each column U[:, v] lies in B^k
+    # and solves to rows X[a, :], which lie in B^(n-k) and solve to C[a, b]:
+    # U = sum C[a, b] b_a (x) b_b.  Every word of b_b has the group degree
+    # of its kept word t_b (the braiding preserves the degree product), so
+    # the left group element is deg(t_b) g; only it varies with g.
+    tag_degrees = [
+        [datum.degree_of_word(basis.words.word(t)) for t in basis.tags]
+        for basis in bases
+    ]
     coproduct: dict = {}
     for n in range(cutoff + 1):
+        words = bases[n].words
         for i, vec in enumerate(bases[n].vectors):
+            degree = tag_degrees[n][i]
+            if any(datum.degree_of_word(words.word(idx)) != degree for idx in vec):
+                raise InternalCheckError(f"basis vector ({n}, {i}) is not G-homogeneous")
             solved = []
             for k in range(n + 1):
-                words = bases[n - k].words
                 shift = d ** (n - k)
-                buckets: dict = {}
+                columns: dict = {}
                 for idx, coeff in vec.items():
-                    gdeg = datum.degree_of_word(words.word(idx % shift))
-                    buckets.setdefault(group.index(gdeg), {})[idx] = coeff
-                for degi, bucket in sorted(buckets.items()):
-                    coords = pair_solvers[(k, n - k)].coordinates(bucket)
+                    u, v = divmod(idx, shift)
+                    columns.setdefault(v, {})[u] = coeff
+                rows: dict = {}
+                for v, column in columns.items():
+                    coords = bases[k].coordinates(column)
                     if coords is None:
                         raise InternalCheckError(
-                            "deconcatenation left the graded tensor basis"
-                        )
-                    solved.append((k, elements[degi], sorted(coords.items())))
+                            "deconcatenation left the graded tensor basis")
+                    for a, value in coords.items():
+                        rows.setdefault(a, {})[v] = value
+                for a, row in rows.items():
+                    coords = bases[n - k].coordinates(row)
+                    if coords is None:
+                        raise InternalCheckError(
+                            "deconcatenation left the graded tensor basis")
+                    solved.extend(
+                        (k, a, b, tag_degrees[n - k][b], value)
+                        for b, value in coords.items()
+                    )
             for gi, g in enumerate(elements):
-                terms: dict = {}
-                for k, gdeg, coords in solved:
-                    left_g = group.index(group.mul(gdeg, g))
-                    add_terms(terms, (
-                        (((k, i1, left_g), (n - k, i2, gi)), coeff)
-                        for (i1, i2), coeff in coords
-                    ))
-                coproduct[(n, i, gi)] = terms
+                coproduct[(n, i, gi)] = {
+                    ((k, a, group.index(group.mul(degree, g))), (n - k, b, gi)): value
+                    for k, a, b, degree, value in solved
+                }
 
     slice_ = GradedHopfSlice(
         datum=datum,
@@ -654,9 +632,12 @@ def covering_map_check(
     """Verify that the group surjection induces a Hopf covering of slices.
 
     Checks: the kernel acts trivially (so the quotient datum is defined and
-    agrees with the target), the induced basis map is an algebra morphism
-    in closed degrees and a coalgebra morphism everywhere, and every
-    minimal element lifts with |ker f| preimages over each vertex."""
+    agrees with the target), every fiber of f has |ker f| elements (so the
+    basis map b # h -> b # f(h) is |ker f| to one, reported as
+    `lifts_per_element`), and the induced basis map is an algebra morphism
+    in closed degrees and a coalgebra morphism everywhere.  The minimal
+    elements of degrees 2..cutoff are only counted, as
+    `minimal_elements_checked`; their lifts are not checked one by one."""
     from .nichols import minimal_elements as _minimal_elements
 
     group_h = source.group

@@ -686,20 +686,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_nonnegative(args):
-    """Degree bounds are nonnegative, for every command that takes one."""
-    for name in ("max_degree", "cutoff"):
+# the least value of each bound, for every command that takes it: a degree
+# may be 0, a resource bound must admit one column, basis element or coset,
+# and Table 5.2 starts at n = 3
+_BOUND_MINIMUM = {"max_degree": 0, "cutoff": 0, "max_cols": 1, "max_dim": 1,
+                  "max_cosets": 1, "n_max": 3}
+
+
+def _check_bounds(args):
+    for name, minimum in _BOUND_MINIMUM.items():
         value = getattr(args, name, None)
-        if value is not None and value < 0:
+        if value is not None and value < minimum:
             flag = "--" + name.replace("_", "-")
-            raise ValidationError(f"{flag} must be nonnegative, got {value}")
+            least = "nonnegative" if minimum == 0 else f"at least {minimum}"
+            raise ValidationError(f"{flag} must be {least}, got {value}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_nonnegative(args)
+        _check_bounds(args)
         args.func(args)
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from functools import lru_cache
 from math import gcd
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient, by trial-division factorization."""
     if n < 1:
@@ -110,7 +111,7 @@ class CycScalar:
 
     def __init__(self, order: int, coeffs):
         deg = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(coeffs) != deg:
             raise ValueError(
                 f"need {deg} coordinates for order {order}, got {len(coeffs)}"

@@ -222,6 +222,7 @@ class IncrementalSpan:
     def __init__(self):
         self._pivots: list[tuple[int, Vector, dict[int, CycScalar]]] = []
         self.kept: list[int] = []
+        self._inserted: dict[int, Vector] = {}
 
     @property
     def dim(self) -> int:
@@ -239,9 +240,14 @@ class IncrementalSpan:
         return residual, combo
 
     def add(self, vector: Vector, tag: int) -> bool:
-        """Insert; returns True when the vector enlarged the span."""
+        """Insert; returns True when the vector enlarged the span.  A
+        dependence is certified against the kept vectors as they were
+        inserted, not against the reduced pivot rows, so every rank read
+        off the span is checked exactly."""
         residual, combo = self._reduce(vector)
         if not residual:
+            if _combination(self._inserted, combo) != vector:
+                raise InternalCheckError("dependence not certified by inserted vectors")
             return False
         col = min(residual)
         inv = residual.pop(col).inverse()
@@ -253,6 +259,7 @@ class IncrementalSpan:
         axpy(expr, neg_inv, combo)
         self._pivots.append((col, neg_tail, expr))
         self.kept.append(tag)
+        self._inserted[tag] = vector
         return True
 
     def contains(self, vector: Vector) -> bool:
@@ -559,8 +566,8 @@ def _vector_supported_on(basis: list[Vector], support: set[int]) -> Vector | Non
     return _normalized(out) if out else None
 
 
-def _combination(basis: list[Vector], weights: Vector) -> Vector:
-    """sum over j of weights[j] * basis[j]."""
+def _combination(basis, weights: Vector) -> Vector:
+    """sum over j of weights[j] * basis[j], basis a list or dict of vectors."""
     out: Vector = {}
     for j, weight in weights.items():
         axpy(out, weight, basis[j])

@@ -43,12 +43,7 @@ from .braiding import BraidedSpace, quadratic_analysis
 from .cyclotomic import CycScalar
 from .errors import BoundExceededError, InternalCheckError
 from .groups import identity_perm, perm_compose
-from .linalg import (
-    ExactMatrix,
-    IncrementalSpan,
-    rank_kernel,
-    support_minimal_vectors,
-)
+from .linalg import ExactMatrix, IncrementalSpan, support_minimal_vectors
 from .presentations import Presentation, Word, free_reduce
 
 RackWord = tuple[int, ...]
@@ -177,18 +172,6 @@ def symmetrizer_matrix(
     return ExactMatrix(size, size, entries)
 
 
-def symmetrizer_rank(
-    space: BraidedSpace, degree: int, max_cols: int = 10**4
-) -> int:
-    """dim of the degree-n graded component: exact rank of the symmetrizer."""
-    if degree == 0:
-        return 1
-    if degree == 1:
-        return space.dim
-    rank, _ = rank_kernel(symmetrizer_matrix(space, degree, max_cols))
-    return rank
-
-
 @dataclass(frozen=True)
 class GradedReport:
     """Graded dimensions up to a cutoff.
@@ -239,7 +222,7 @@ def hilbert_series(
             computed.append(False)
             continue
         try:
-            rank = symmetrizer_rank(space, n, max_cols)
+            rank = GradedBasis(space, n, max_cols).dim
         except BoundExceededError as err:
             partial = GradedReport(
                 tuple(dims), tuple(kernel_dims), n - 1, terminated_at, tuple(computed)
@@ -293,7 +276,10 @@ def _check_graded_report(space: BraidedSpace, report: GradedReport):
 
 class GradedBasis:
     """The lexicographically-first maximal independent subset of symmetrized
-    word images in one degree; provides exact coordinates in that basis.
+    word images in one degree, with exact coordinates in that basis.  It is
+    the only eliminator of a graded component: ranks, slice bases and
+    coproduct coordinates are all read from it, and its span certifies
+    every dependent column.
 
     `columns` holds every nonzero column S_n e_w by word index w, so the
     image of any word is one lookup; `vectors[i]` is the column of the
@@ -315,14 +301,12 @@ class GradedBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
-    def coordinates(self, vector: dict[int, CycScalar]) -> list[CycScalar] | None:
+    def coordinates(self, vector: dict[int, CycScalar]) -> dict[int, CycScalar] | None:
+        """{basis position: coefficient}, without zeros; None off the span."""
         coords = self.span.coordinates(vector)
         if coords is None:
             return None
-        out = [CycScalar.zero() for _ in self.tags]
-        for tag, value in coords.items():
-            out[self._position[tag]] = value
-        return out
+        return {self._position[tag]: value for tag, value in coords.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,7 @@ def shuffle_slice(datum, cutoff: int) -> GradedHopfSlice:
                         for gi2, g2 in enumerate(elements):
                             g12 = group.index(group.mul(g1, g2))
                             product[((n1, i1, gi1), (n2, i2, gi2))] = {
-                                (total, it, g12): c
-                                for it, c in enumerate(coords)
-                                if not c.is_zero
+                                (total, it, g12): c for it, c in coords.items()
                             }
 
     coproduct: dict = {}

@@ -38,11 +38,11 @@ from rackcover.envgroup import (
 from rackcover.groups import FiniteGroup
 from rackcover.linalg import rank_kernel, smith_normal_form
 from rackcover.nichols import (
+    GradedBasis,
     TensorWords,
     covering_relators,
     hilbert_series,
     symmetrizer_matrix,
-    symmetrizer_rank,
 )
 from rackcover.presentations import Presentation, relator_key
 from rackcover.racks import (
@@ -170,7 +170,7 @@ def test_criterion_05_nichols_dimensions():
         q = root_of_unity(m)
         for n in range(m + 1):
             factorial_rank = 0 if gaussian_factorial(q, n).is_zero else 1
-            assert symmetrizer_rank(rk1, n) == factorial_rank
+            assert GradedBasis(rk1, n).dim == factorial_rank
     _passed(5, started, "graded dims (1,3,4,3,1,0,0) and rank-1 truncations")
 
 
@@ -179,7 +179,7 @@ def test_criterion_06_degree2_identity():
     instances = table_53_instances() + [("cartan", cartan_space(), None, None)]
     for label, space, _, _ in instances:
         report = quadratic_analysis(space)
-        assert symmetrizer_rank(space, 2) == report.dim2, label
+        assert GradedBasis(space, 2).dim == report.dim2, label
     _passed(6, started, "dim B(V)(2) = d^2 - #QR on every instance")
 
 

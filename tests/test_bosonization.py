@@ -15,8 +15,9 @@ from rackcover.bosonization import (
 from rackcover.braiding import BraidedSpace, Cocycle, chi_cocycle
 from rackcover.cyclotomic import CycScalar, root_of_unity
 from rackcover.envgroup import hom_from_generator_images
-from rackcover.errors import AxiomFailsError, ValidationError, YDDatumError
+from rackcover.errors import AxiomFailsError, InternalCheckError, ValidationError, YDDatumError
 from rackcover.groups import FiniteGroup
+from rackcover.nichols import GradedBasis
 from rackcover.racks import transpositions_rack
 from rackcover.racks import transposition_elements
 from tests.oracle_shuffle import shuffle_slice
@@ -248,6 +249,20 @@ def test_slice_bound():
     datum = s3_minus_one_datum()
     with pytest.raises(BoundExceededError):
         build_slice(datum, 2, max_dim=10)
+
+
+def test_slice_checks_group_degree_homogeneity(monkeypatch):
+    # the coproduct takes the left group element from each right factor's
+    # kept word, so a basis vector with a word of another degree is caught
+    class Tampered(GradedBasis):
+        def __init__(self, space, degree, max_cols=10**4):
+            super().__init__(space, degree, max_cols)
+            if degree == 1:
+                self.vectors[0] = {**self.vectors[0], 1: CycScalar.one()}
+
+    monkeypatch.setattr("rackcover.bosonization.GradedBasis", Tampered)
+    with pytest.raises(InternalCheckError, match="G-homogeneous"):
+        build_slice(s3_chi_datum(), 1)
 
 
 # --- covering maps -----------------------------------------------------------------

@@ -229,6 +229,21 @@ def test_nichols_dims_bound_prints_partial_result(capsys):
     assert result["cutoff"] == 3
 
 
+def test_nichols_dims_column_bound_applies_from_degree_one(capsys):
+    # the column bound is checked on d^n at every degree from 1 on
+    code, out, err = run(
+        capsys,
+        "nichols", "dims", "--builtin", "transpositions:3",
+        "--max-cols", "2", "--no-meta",
+    )
+    assert code == 2
+    assert err.startswith("bound exceeded:")
+    result = json.loads(out)["result"]
+    assert result["partial"] is True
+    assert result["dims"] == [1]  # degree 1 needs 3 > 2 columns
+    assert result["cutoff"] == 0
+
+
 def _datum_missing(key):
     data = datum_to_json(rank_one_datum(group_order=2, q_order=2))
     del data[key]
@@ -312,30 +327,55 @@ def test_bad_images_exit_one(tmp_path, capsys, command, images):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# each case ends with the bound flag and its value
 NEGATIVE_BOUNDS = {
     "nichols dims": ["nichols", "dims", "--builtin", "transpositions:3", "--max-degree", "-1"],
     "nichols minimal":
         ["nichols", "minimal", "--builtin", "transpositions:3", "--max-degree", "-1"],
     "nichols relators":
         ["nichols", "relators", "--builtin", "transpositions:3", "--max-degree", "-1"],
-    "hopf bosonize": ["hopf", "bosonize", "--datum", "DATUM", "--cutoff", "-1", "--verify"],
+    "hopf bosonize": ["hopf", "bosonize", "--datum", "DATUM", "--verify", "--cutoff", "-1"],
     "hopf cover": ["hopf", "cover", "--source", "DATUM", "--target", "DATUM",
                    "--images", "1", "--cutoff", "-2"],
+    "nichols dims --max-cols 0":
+        ["nichols", "dims", "--builtin", "transpositions:3", "--max-cols", "0"],
+    "nichols dims --max-cols -5":
+        ["nichols", "dims", "--builtin", "transpositions:3", "--max-cols", "-5"],
+    "hopf bosonize --max-dim 0": ["hopf", "bosonize", "--datum", "DATUM", "--max-dim", "0"],
+    "hopf bosonize --max-dim -1": ["hopf", "bosonize", "--datum", "DATUM", "--max-dim", "-1"],
+    "group tc --max-cosets 0":
+        ["group", "tc", "--builtin", "transpositions:3", "--max-cosets", "0"],
+    "group tc --max-cosets -4":
+        ["group", "tc", "--builtin", "transpositions:3", "--max-cosets", "-4"],
+    "paper table --n-max 2": ["paper", "table", "--which", "5.2", "--n-max", "2"],
+    "paper table --n-max -3": ["paper", "table", "--which", "5.2", "--n-max", "-3"],
+}
+
+# the least value of each bound, as the error message states it
+LEAST = {
+    "--max-degree": "nonnegative",
+    "--cutoff": "nonnegative",
+    "--max-cols": "at least 1",
+    "--max-dim": "at least 1",
+    "--max-cosets": "at least 1",
+    "--n-max": "at least 3",
 }
 
 
-# the parent exited 0 with an empty result, printed "verified": true with no
-# checks, or failed an internal invariant at degree 0
+# unchecked, these bounds exited 0 with an empty result, printed "verified":
+# true with no checks, failed an internal invariant at degree 0, exited 2 on
+# a bound that could never hold, or died with a ValueError traceback
 @pytest.mark.parametrize("command", list(NEGATIVE_BOUNDS))
 def test_negative_degree_bound_exits_one(tmp_path, capsys, command):
     path = tmp_path / "c2.json"
     path.write_text(json.dumps(datum_to_json(rank_one_datum(2, 2))))
     argv = [str(path) if a == "DATUM" else a for a in NEGATIVE_BOUNDS[command]]
+    flag, value = argv[-2:]
     code, out, err = run(capsys, *argv, "--no-meta")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: --") and "must be nonnegative" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == f"error: {flag} must be {LEAST[flag]}, got {value}\n"
+    assert "Traceback" not in err
 
 
 # sha256 of the --no-meta stdout as the README promises it byte-stable; a

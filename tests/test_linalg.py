@@ -335,6 +335,19 @@ def test_incremental_span_coordinates():
     assert span.contains(v1)
 
 
+def test_incremental_span_certifies_each_dependence():
+    # a dependence is checked against the vectors as inserted: a pivot row
+    # tampered from e0 + 2 e1 to e0 + 3 e1 reduces (1, 3, 0) to zero, and
+    # the combination 1 * (1, 2, 0) it reports is caught
+    span = IncrementalSpan()
+    assert span.add(as_vec([1, 2, 0]), tag=0)
+    col, _neg_tail, expr = span._pivots[0]
+    span._pivots[0] = (col, {1: CycScalar.rational(-3)}, expr)
+    with pytest.raises(InternalCheckError):
+        span.add(as_vec([1, 3, 0]), tag=1)
+    assert span.kept == [0]
+
+
 # --- sparse accumulation kernel -----------------------------------------------
 
 

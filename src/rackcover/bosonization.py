@@ -7,15 +7,17 @@ The bosonization has basis {b # g} with b running through the chosen
 graded image bases and g in G:
 
 * product:   (b # g)(b' # g') = (b * g.b') # g g',  with * the braided
-  shuffle product of graded components.  It is read off symmetrizer
-  columns: for b = S_m e_u and b' = S_n e_v (u, v their kept words),
-  b * g.b' = s S_{m+n} e_{u w}, where g.v = (w, s) is the monomial action
-  letter by letter and u w the concatenated word.  This holds because
-  S_{m+n} = Sh_{m,n} (S_m (x) S_n), Sh_{m,n} the sum of the shuffle lifts
-  (Milinski-Schneider 2000), and S_n commutes with the diagonal G-action
-  since the braiding is a Yetter-Drinfeld map;
+  shuffle product of graded components.  For b' the image of its kept
+  word v and g.v = (w, s) the monomial action letter by letter,
+  b * g.b' = s b v_w1 ... v_wk, since the image of words is an algebra map
+  that commutes with the diagonal G-action (the braiding is a
+  Yetter-Drinfeld map).  Its coordinates come from the graded-component
+  engine's right multiplications R_x (nichols.GradedBasis), one letter at
+  a time, with no elimination;
 * coproduct: deconcatenate b and insert the group degree of the right
-  part: (b # g) -> sum (b1 # deg(b2) g) (x) (b2 # g);
+  part: (b # g) -> sum (b1 # deg(b2) g) (x) (b2 # g).  The symmetrized
+  kept words b are read off the engine as iterated derivations, and each
+  tensor factor is solved in the span of a graded component;
 * antipode:  synthesized degree by degree as the convolution inverse of
   the identity (the degree-0 part is a group algebra, so the inverse is
   determined), then verified against both antipode identities.
@@ -62,8 +64,8 @@ class YDDatum:
     def act_on_word(self, g, word) -> tuple[tuple, CycScalar]:
         """g acting on a word letter by letter: (g.x1 ... g.xn, s1 ... sn).
         The product starts from 1 in Q(zeta_N), N the cocycle order, so
-        slice constants keep the field order of the symmetrizer's scalars,
-        which the exported 'N k' forms are written in."""
+        slice constants keep the field order of the graded components'
+        scalars, which the exported 'N k' forms are written in."""
         scalar = CycScalar.one(self.space.cocycle.order)
         out = []
         for x in word:
@@ -303,7 +305,9 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
     space = datum.space
     group = datum.group
     d = space.dim
-    bases = [GradedBasis(space, n) for n in range(cutoff + 1)]
+    bases = [GradedBasis(space, 0)]
+    for n in range(1, cutoff + 1):
+        bases.append(GradedBasis(space, n, previous=bases[-1]))
     dims = tuple(basis.dim for basis in bases)
     total = sum(dims) * group.order
     if total > max_dim:
@@ -317,27 +321,23 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
     elements = group.elements
 
     # --- product ---------------------------------------------------------
-    # b_i1 * g1.b_i2 = s S_{n1+n2} e_{t1 w}, g1.(word of t2) = (w, s): one
-    # column lookup and one solve per (i1, g1, i2); g2 only moves the key
+    # b_i1 * g1.b_i2 = s b_i1 v_w1 ... v_wk, g1.(word of t2) = (w, s): the
+    # coordinates are b_i1's carried through the right multiplications
+    # R_w1, ..., R_wk of the degrees above n1, once per (i1, g1, i2); g2
+    # only moves the key
+    unit = CycScalar.one(space.cocycle.order)
     product: dict = {}
     for n1 in range(cutoff + 1):
         for n2 in range(cutoff + 1 - n1):
             total_deg = n1 + n2
-            target_basis = bases[total_deg]
             words = bases[n2].words
-            shift = d**n2
-            for i1, t1 in enumerate(bases[n1].tags):
+            for i1 in range(dims[n1]):
                 for gi1, g1 in enumerate(elements):
                     for i2, t2 in enumerate(bases[n2].tags):
                         word, s = datum.act_on_word(g1, words.word(t2))
-                        column = t1 * shift + words.index(word)
-                        coords = target_basis.coordinates(
-                            target_basis.columns.get(column, {})
-                        )
-                        if coords is None:
-                            raise InternalCheckError(
-                                "product left the graded image basis"
-                            )
+                        coords = {i1: unit}
+                        for k, x in enumerate(word, start=n1 + 1):
+                            coords = bases[k].times_letter(coords, x)
                         terms = [(it, coeff * s) for it, coeff in coords.items()]
                         for gi2, g2 in enumerate(elements):
                             g12 = group.index(group.mul(g1, g2))

@@ -262,28 +262,40 @@ def cmd_nichols_dims(args):
     _emit(args, "nichols dims", report.to_json())
 
 
-def cmd_nichols_relators(args):
-    space = _space(args)
-    result = covering_relators(space, args.max_degree, max_cols=args.max_cols)
+def _relators_payload(space, result) -> dict:
     labels = default_labels(space.dim)
     per_degree = {}
     for relset in result.per_degree:
         per_degree[str(relset.degree)] = [
             format_word(rel, labels) for rel in relset.relators
         ]
-    payload = {
+    return {
         "generators": space.dim,
         "relators_by_degree": per_degree,
         "presentation": result.presentation.to_json(),
     }
-    _emit(args, "nichols relators", payload)
+
+
+def cmd_nichols_relators(args):
+    space = _space(args)
+    try:
+        result = covering_relators(space, args.max_degree, max_cols=args.max_cols)
+    except BoundExceededError as exc:
+        _emit(args, "nichols relators",
+              {**_relators_payload(space, exc.partial), "partial": True})
+        raise
+    _emit(args, "nichols relators", _relators_payload(space, result))
 
 
 def cmd_nichols_minimal(args):
     space = _space(args)
     out = {}
     for degree in range(2, args.max_degree + 1):
-        found = minimal_elements(space, degree, max_cols=args.max_cols)
+        try:
+            found = minimal_elements(space, degree, max_cols=args.max_cols)
+        except BoundExceededError as exc:
+            _emit(args, "nichols minimal", {"minimal_elements": out, "partial": True})
+            raise BoundExceededError(str(exc), partial=out) from None
         out[str(degree)] = [
             {
                 "words": [list(w) for w in element.words],
@@ -580,6 +592,14 @@ def _add_cocycle(parser):
     )
 
 
+# what --max-cols bounds in each degree n; exit 2 prints the degrees below
+MAX_COLS_HELP = {
+    "dims": "most candidate columns d * dim B^(n-1) per degree (default 10000)",
+    "relators": "most symmetrizer columns d^n per degree (default 10000)",
+    "minimal": "most symmetrizer columns d^n per degree (default 10000)",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rackcover",
@@ -620,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_rack_source(p)
         _add_cocycle(p)
         p.add_argument("--max-degree", type=int, default=4)
-        p.add_argument("--max-cols", type=int, default=10**4)
+        p.add_argument("--max-cols", type=int, default=10**4, help=MAX_COLS_HELP[name])
         _add_common(p)
         p.set_defaults(func=func)
 

@@ -223,6 +223,8 @@ class IncrementalSpan:
         self._pivots: list[tuple[int, Vector, dict[int, CycScalar]]] = []
         self.kept: list[int] = []
         self._inserted: dict[int, Vector] = {}
+        # {kept tag: coefficient} of the last dependent vector `add` met
+        self.combination: dict[int, CycScalar] = {}
 
     @property
     def dim(self) -> int:
@@ -243,11 +245,13 @@ class IncrementalSpan:
         """Insert; returns True when the vector enlarged the span.  A
         dependence is certified against the kept vectors as they were
         inserted, not against the reduced pivot rows, so every rank read
-        off the span is checked exactly."""
+        off the span is checked exactly; the certified combination is left
+        in `combination`."""
         residual, combo = self._reduce(vector)
         if not residual:
             if _combination(self._inserted, combo) != vector:
                 raise InternalCheckError("dependence not certified by inserted vectors")
+            self.combination = combo
             return False
         col = min(residual)
         inv = residual.pop(col).inverse()

@@ -1,21 +1,34 @@
 """Graded components of the Nichols algebra of a braided rack space.
 
-The degree-n component is the image of the quantum symmetrizer S_n: the
-sum, over all permutations of n letters, of the braid-group lifts obtained
-by replacing each letter s_i of a reduced word with the braiding c_i acting
-on tensor slots (i-1, i).  Lifts are well defined because the braiding
-satisfies the braid equation (checked at construction of BraidedSpace)
-and reduced words of the same permutation give equal operators.
+The degree-n component B^n is built from B^(n-1) by the braided
+skew-derivations d_y, the (n-1, 1) part of the coproduct: for n >= 1 an
+element of B^n is zero exactly when all its derivations vanish, and
+    d_y(b v_x) = delta_{xy} b + q(y,x) d_y(b) v_{y|>x},    b in B^(n-1)
+(Andruskiewitsch-Grana 1999; Heckenberger-Lochmann-Vendramin 2012).  So
+B^n is spanned by the products b_j v_x of a basis of B^(n-1) with the
+letters, and their derivation vectors decide every dependence.
+`GradedBasis` eliminates those d * dim B^(n-1) candidates grade by grade,
+and keeps, for the next degree, the derivations D_y of its basis and the
+right multiplications R_x into it; nothing of size d^n is built.  The
+kept words are the lexicographically-first ones, as when B^n is cut out
+of all columns of the quantum symmetrizer, and the symmetrized kept
+words are read off as iterated derivations,
+S_n[y_1 ... y_n, t] = d_{y_1} ... d_{y_n} t.
 
-S_n is not assembled as that n!-term sum but by the factorization
+The quantum symmetrizer S_n, whose image is B^n, stays for the minimal
+elements below: it is the sum, over all permutations of n letters, of the
+braid-group lifts obtained by replacing each letter s_i of a reduced word
+with the braiding c_i acting on tensor slots (i-1, i).  Lifts are well
+defined because the braiding satisfies the braid equation (checked at
+construction of BraidedSpace) and reduced words of the same permutation
+give equal operators.  S_n is assembled by the factorization
 S_n = T'_n (S_{n-1} (x) id), T'_n = sum_{k=1..n} c_k c_{k+1} ... c_{n-1}
 (Milinski-Schneider 2000; Andruskiewitsch-Grana 1999).  It is exact: every
 permutation factors uniquely as (s_k ... s_{n-1}) (sigma' x 1) with
 lengths adding, so the lifts match term for term.  Degree n then costs
 nnz(S_{n-1}) * d * n monomial steps instead of n! * d^n * l.  The direct
 sum survives only as the dense oracle in the tests, and the braided
-shuffle product only as the shuffle oracle there (the bosonization reads
-its products off symmetrizer columns).
+shuffle product only as the shuffle oracle there.
 
 Everything acts monomially on words (tuples of rack elements), so
 operators are stored as index permutations plus root-of-unity exponents;
@@ -43,7 +56,13 @@ from .braiding import BraidedSpace, quadratic_analysis
 from .cyclotomic import CycScalar
 from .errors import BoundExceededError, InternalCheckError
 from .groups import identity_perm, perm_compose
-from .linalg import ExactMatrix, IncrementalSpan, support_minimal_vectors
+from .linalg import (
+    ExactMatrix,
+    IncrementalSpan,
+    add_terms,
+    axpy,
+    support_minimal_vectors,
+)
 from .presentations import Presentation, Word, free_reduce
 
 RackWord = tuple[int, ...]
@@ -208,13 +227,15 @@ def hilbert_series(
 ) -> GradedReport:
     """Graded dimensions for degrees 0..cutoff.
 
-    Once a degree comes out zero, the remaining degrees are reported as
-    zero without elimination.  If a degree exceeds the column bound,
-    BoundExceededError carries the partial report."""
+    Each degree is built from the one below (see GradedBasis).  Once a
+    degree comes out zero, the remaining degrees are reported as zero
+    without elimination.  If a degree has more candidate columns than the
+    bound, BoundExceededError carries the partial report."""
     dims: list[int] = []
     kernel_dims: list[int] = []
     computed: list[bool] = []
     terminated_at = None
+    basis = None
     for n in range(cutoff + 1):
         if terminated_at is not None:
             dims.append(0)
@@ -222,7 +243,8 @@ def hilbert_series(
             computed.append(False)
             continue
         try:
-            rank = GradedBasis(space, n, max_cols).dim
+            basis = GradedBasis(space, n, max_cols, previous=basis)
+            rank = basis.dim
         except BoundExceededError as err:
             partial = GradedReport(
                 tuple(dims), tuple(kernel_dims), n - 1, terminated_at, tuple(computed)
@@ -275,38 +297,160 @@ def _check_graded_report(space: BraidedSpace, report: GradedReport):
 
 
 class GradedBasis:
-    """The lexicographically-first maximal independent subset of symmetrized
-    word images in one degree, with exact coordinates in that basis.  It is
-    the only eliminator of a graded component: ranks, slice bases and
-    coproduct coordinates are all read from it, and its span certifies
-    every dependent column.
+    """One graded component B^n, built from B^(n-1) by braided
+    skew-derivations (see the module docstring).  `tags` are the kept
+    words, the lexicographically-first words whose images span B^n, in
+    word-index order.  It is the only eliminator of a graded component:
+    ranks, slice bases, products and coproduct coordinates are all read
+    from it.
 
-    `columns` holds every nonzero column S_n e_w by word index w, so the
-    image of any word is one lookup; `vectors[i]` is the column of the
-    kept word `tags[i]`."""
+    The candidate of (kept b_j of B^(n-1), letter x) is the derivation
+    vector of b_j v_x, keyed i*d + y for the coefficient of b_i in d_y; its
+    y block is delta_{xy} e_j + q(y,x) R_{y|>x} D_y e_j.  Candidates of
+    different grades (inner image and orbit letter counts of the word) have
+    disjoint supports, so each grade has its own IncrementalSpan, whose
+    certificate checks every dependence.  Each degree keeps for the next:
+    * derivations[i] = {y: D_y e_i}, over the kept basis of B^(n-1);
+    * right[x][j] = coordinates of b_j v_x in this basis: e_i for a kept
+      candidate, its certified combination else.
+    `max_cols` bounds the candidate count d * dim B^(n-1)."""
 
-    def __init__(self, space: BraidedSpace, degree: int, max_cols: int = 10**4):
+    def __init__(
+        self,
+        space: BraidedSpace,
+        degree: int,
+        max_cols: int = 10**4,
+        previous: "GradedBasis | None" = None,
+    ):
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
         self.space = space
         self.degree = degree
         self.words = TensorWords(space, degree)
-        self.columns = symmetrizer_matrix(space, degree, max_cols).columns()
-        self.span = IncrementalSpan()
-        for c in sorted(self.columns):
-            self.span.add(self.columns[c], tag=c)
-        self.tags = self.span.kept
-        self.vectors = [self.columns[c] for c in self.tags]
-        self._position = {tag: i for i, tag in enumerate(self.tags)}
+        self._previous = previous
+        self._vectors: list[dict[int, CycScalar]] | None = None
+        self._span: IncrementalSpan | None = None
+        rack = space.rack
+        if degree == 0:
+            self.tags = [0]
+            self.derivations: list[dict] = [{}]
+            self.right: list[list[dict]] = []
+            self.grades = [(identity_perm(rack.n), (0,) * len(rack.orbits()))]
+            return
+        if previous is None:
+            previous = self._previous = GradedBasis(space, degree - 1, max_cols)
+        elif previous.degree != degree - 1:
+            raise ValueError("previous component must have degree one lower")
+        d, N = space.dim, space.cocycle.order
+        count = d * previous.dim
+        if count > max_cols:
+            raise BoundExceededError(
+                f"degree {degree} needs {count} candidate columns, bound is {max_cols}"
+            )
+        one = CycScalar.one(N)
+        q = [[CycScalar.root_of_unity(N, space.cocycle.exponent(y, x))
+              for x in range(d)] for y in range(d)]
+        orbit_of = {x: k for k, block in enumerate(rack.orbits()) for x in block}
+        grade_ids: dict = {}
+        grades = []  # (inner image, orbit counts) of every candidate word
+        candidate_grade = []
+        for perm, counts in previous.grades:
+            for x in range(d):
+                bumped = list(counts)
+                bumped[orbit_of[x]] += 1
+                key = (perm_compose(perm, rack.translation(x)), tuple(bumped))
+                grades.append(key)
+                candidate_grade.append(grade_ids.setdefault(key, len(grade_ids)))
+        lower_right = previous.right
+        spans: dict[int, IncrementalSpan] = {}
+        position: dict[int, int] = {}
+        self.tags, self.derivations, self.grades = [], [], []
+        self.right = [[None] * previous.dim for _ in range(d)]
+        for j, (t, derivs) in enumerate(zip(previous.tags, previous.derivations)):
+            for x in range(d):
+                c = j * d + x
+                vector: dict[int, CycScalar] = {}
+                terms = [(c, one)]
+                for y, coeffs in derivs.items():
+                    rows = lower_right[rack.op(y, x)]
+                    qyx = q[y][x]
+                    for i2, coeff in coeffs.items():
+                        scaled = qyx * coeff
+                        terms.extend(
+                            (i * d + y, scaled * value) for i, value in rows[i2].items()
+                        )
+                add_terms(vector, terms)
+                grade = candidate_grade[c]
+                if any(candidate_grade[key] != grade for key in vector):
+                    raise InternalCheckError("derivation vector leaves its grade")
+                span = spans.get(grade)
+                if span is None:
+                    span = spans[grade] = IncrementalSpan()
+                if span.add(vector, tag=c):
+                    position[c] = len(self.tags)
+                    self.right[x][j] = {len(self.tags): one}
+                    self.tags.append(t * d + x)
+                    self.grades.append(grades[c])
+                    blocks: dict[int, dict[int, CycScalar]] = {}
+                    for key, value in vector.items():
+                        i, y = divmod(key, d)
+                        blocks.setdefault(y, {})[i] = value
+                    self.derivations.append(blocks)
+                else:
+                    self.right[x][j] = {
+                        position[k]: value for k, value in span.combination.items()
+                    }
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.tags)
+
+    @property
+    def vectors(self) -> list[dict[int, CycScalar]]:
+        """S_n e_t for each kept word t, as sparse word-index vectors, read
+        off as iterated derivations, S_n[y_1 ... y_n, t] = d_{y_1} ...
+        d_{y_n} t, on first use.  Their scalars have order 1 in degrees 0
+        and 1 and the cocycle order from degree 2 on, as the entries of
+        `symmetrizer_matrix`."""
+        if self._vectors is None:
+            if self.degree <= 1:
+                self._vectors = [{t: CycScalar.one()} for t in self.tags]
+            else:
+                d = self.space.dim
+                lower = self._previous.vectors
+                self._vectors = []
+                for blocks in self.derivations:
+                    vector: dict[int, CycScalar] = {}
+                    for y, coeffs in blocks.items():
+                        for i, coeff in coeffs.items():
+                            add_terms(vector, (
+                                (w * d + y, coeff * value)
+                                for w, value in lower[i].items()
+                            ))
+                    self._vectors.append(vector)
+        return self._vectors
 
     def coordinates(self, vector: dict[int, CycScalar]) -> dict[int, CycScalar] | None:
-        """{basis position: coefficient}, without zeros; None off the span."""
-        coords = self.span.coordinates(vector)
-        if coords is None:
-            return None
-        return {self._position[tag]: value for tag, value in coords.items()}
+        """{basis position: coefficient}, without zeros, for a vector of
+        words; None off the span.  The span holds only the kept vectors,
+        inserted in tag order."""
+        if self._span is None:
+            self._span = IncrementalSpan()
+            for i, kept in enumerate(self.vectors):
+                if not self._span.add(kept, tag=i):
+                    raise InternalCheckError(
+                        f"kept vector {i} of degree {self.degree} is dependent"
+                    )
+        return self._span.coordinates(vector)
+
+    def times_letter(self, coords: dict, x: int) -> dict[int, CycScalar]:
+        """Coordinates of b v_x in this degree, for b given by coordinates
+        in the degree below."""
+        out: dict[int, CycScalar] = {}
+        rows = self.right[x]
+        for j, coeff in coords.items():
+            axpy(out, coeff, rows[j])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +584,23 @@ def covering_relators(
 
     Word pairs are the first support word against each other one; at
     degree two a pair is oriented along the braiding orbit (p, c(p))
-    whenever the second word is the braiding image of the first."""
+    whenever the second word is the braiding image of the first.  If a
+    degree exceeds a bound, BoundExceededError carries the result of the
+    degrees below it."""
     per_degree = []
     all_relators: list[Word] = []
     for degree in range(2, max_degree + 1):
         pairs: list[tuple[RackWord, RackWord]] = []
-        for element in minimal_elements(
-            space, degree, max_cols, max_support_ambient
-        ):
+        try:
+            elements = minimal_elements(space, degree, max_cols, max_support_ambient)
+        except BoundExceededError as err:
+            partial = CoveringRelators(
+                per_degree=tuple(per_degree),
+                presentation=Presentation.make(space.dim, all_relators),
+                max_degree=degree - 1,
+            )
+            raise BoundExceededError(str(err), partial=partial) from None
+        for element in elements:
             base = element.words[0]
             for other in element.words[1:]:
                 p, q = base, other

@@ -3,11 +3,23 @@ import json
 
 import pytest
 
-from rackcover.bosonization import datum_from_generators, datum_to_json, rank_one_datum
-from rackcover.braiding import BraidedSpace, chi_cocycle
+from rackcover.bosonization import (
+    YDDatum,
+    datum_from_generators,
+    datum_to_json,
+    rank_one_datum,
+    yd_verify,
+)
+from rackcover.braiding import BraidedSpace, Cocycle, chi_cocycle
+from rackcover.cyclotomic import CycScalar
 from rackcover.cli import main
 from rackcover.groups import group_to_json, FiniteGroup
-from rackcover.racks import rack_to_json, transposition_elements, transpositions_rack
+from rackcover.racks import (
+    abelian_rack,
+    rack_to_json,
+    transposition_elements,
+    transpositions_rack,
+)
 
 
 def run(capsys, *argv):
@@ -219,18 +231,36 @@ def test_nichols_dims_bound_prints_partial_result(capsys):
     code, out, err = run(
         capsys,
         "nichols", "dims", "--builtin", "transpositions:3",
-        "--max-cols", "30", "--no-meta",
+        "--max-cols", "10", "--no-meta",
     )
     assert code == 2
     assert err.startswith("bound exceeded:")
     result = json.loads(out)["result"]
     assert result["partial"] is True
-    assert result["dims"] == [1, 3, 4, 3]  # degree 4 needs 81 > 30 columns
-    assert result["cutoff"] == 3
+    # degree 3 has 3 * dim B^2 = 12 > 10 candidate columns
+    assert result["dims"] == [1, 3, 4]
+    assert result["cutoff"] == 2
+
+
+@pytest.mark.parametrize("command", ["relators", "minimal"])
+def test_nichols_symmetrizer_bound_prints_completed_degrees(capsys, command):
+    # d^3 = 27 > 10 symmetrizer columns trips at degree 3; degree 2 is
+    # printed exactly as a run that stops there prints it
+    rack = ("--builtin", "transpositions:3", "--no-meta")
+    code, out, err = run(
+        capsys, "nichols", command, *rack, "--max-degree", "3", "--max-cols", "10"
+    )
+    assert code == 2
+    assert err == "bound exceeded: degree 3 needs 27 columns, bound is 10\n"
+    code2, out2, _ = run(capsys, "nichols", command, *rack, "--max-degree", "2")
+    assert code2 == 0
+    expected = json.loads(out2)["result"]
+    assert json.loads(out)["result"] == {**expected, "partial": True}
 
 
 def test_nichols_dims_column_bound_applies_from_degree_one(capsys):
-    # the column bound is checked on d^n at every degree from 1 on
+    # the column bound is checked on the candidate count d * dim B^(n-1)
+    # at every degree from 1 on
     code, out, err = run(
         capsys,
         "nichols", "dims", "--builtin", "transpositions:3",
@@ -240,7 +270,7 @@ def test_nichols_dims_column_bound_applies_from_degree_one(capsys):
     assert err.startswith("bound exceeded:")
     result = json.loads(out)["result"]
     assert result["partial"] is True
-    assert result["dims"] == [1]  # degree 1 needs 3 > 2 columns
+    assert result["dims"] == [1]  # degree 1 has 3 > 2 candidate columns
     assert result["cutoff"] == 0
 
 
@@ -391,12 +421,32 @@ GOLDEN = {
     ("hopf", "bosonize", "--datum", "s3chi.json", "--cutoff", "4",
      "--export-structure"):
         "946cf3a549a1e604c1de2974872bb8e3b01fafc3cb333b24a76f5f68d051c1d0",
+    # letters acted on by scalars stored at orders 12 and 3 over a cocycle
+    # of order 4: the export writes constants at orders 1, 4 and 12
+    ("hopf", "bosonize", "--datum", "c12.json", "--cutoff", "2",
+     "--export-structure"):
+        "c9e8b480177973296efbc8c9dae57439b377c8fb6027740d649f9b848a88478d",
     ("nichols", "minimal", "--builtin", "tetrahedron", "--max-degree", "3"):
         "2c2a7e8ff47cca757930d346417a3dc5c678391b62158b176980c3dc07b87332",
     ("nichols", "dims", "--builtin", "transpositions:3", "--cocycle", "chi",
      "--max-degree", "4"):
         "17c9afa6ef4498818631dd039c7337b9d908e5d34ff443172941d52990081299",
 }
+
+
+def c12_mixed_order_datum():
+    """Two letters over C12 = <g>, deg x0 = g^3 and deg x1 = g^6; g acts on
+    x0 by zeta_12 and on x1 by zeta_3, so q = (i 1; -1 1) has order 4."""
+    rack = abelian_rack(2)
+    space = BraidedSpace(rack, Cocycle(rack, 4, ((1, 0), (2, 0))))
+    group = FiniteGroup.cyclic(12)
+    action = {
+        j: ((0, CycScalar.root_of_unity(12, j)), (1, CycScalar.root_of_unity(3, j % 3)))
+        for j in group.elements
+    }
+    datum = YDDatum(space, group, (3, 6), action)
+    yd_verify(datum)
+    return datum
 
 
 def test_no_meta_output_is_byte_stable(tmp_path, monkeypatch, capsys):
@@ -412,6 +462,7 @@ def test_no_meta_output_is_byte_stable(tmp_path, monkeypatch, capsys):
         elems,
     )
     (tmp_path / "s3chi.json").write_text(json.dumps(datum_to_json(s3)))
+    (tmp_path / "c12.json").write_text(json.dumps(datum_to_json(c12_mixed_order_datum())))
     for argv, digest in GOLDEN.items():
         code, out, err = run(capsys, *argv, "--no-meta")
         assert code == 0, err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rackcover.braiding import BraidedSpace, Cocycle, chi_cocycle, quadratic_analysis
 from rackcover.cyclotomic import CycScalar, root_of_unity
 from rackcover.errors import BoundExceededError, InternalCheckError
+from rackcover.linalg import IncrementalSpan
 from rackcover.nichols import (
     GradedBasis,
     GradedReport,
@@ -191,9 +192,10 @@ def test_cartan_zeta3_full_series():
 def test_hilbert_series_bound_carries_partial():
     space = space_const_minus_one(transpositions_rack(3))
     with pytest.raises(BoundExceededError) as err:
-        hilbert_series(space, 6, max_cols=30)
+        hilbert_series(space, 6, max_cols=10)
     partial = err.value.partial
-    assert partial.dims == (1, 3, 4, 3)  # degree 4 needs 81 > 30 columns
+    # degree 3 has 3 * dim B^2 = 12 > 10 candidate columns
+    assert partial.dims == (1, 3, 4)
 
 
 def test_hilbert_series_invariant_under_relabeling():
@@ -275,6 +277,100 @@ def test_ranks_match_oracle_under_relabeling(name, seed, order, degree):
     ranks = [GradedBasis(space, n).dim for n in range(degree + 1)]
     assert ranks == oracle_graded_dims(space, degree)
     assert ranks == [GradedBasis(moved, n).dim for n in range(degree + 1)]
+
+
+# --- the derivation engine against the symmetrizer and the dense oracle --------
+
+ENGINE_SPACES = {
+    f"{name}-{order}": (lambda name=name, order=order: _constant_space(name, order))
+    for name in SMALL_RACKS
+    for order in (1, 2, 3, 4, 6)
+}
+ENGINE_SPACES["transpositions:3-chi"] = lambda: chi_space(3)
+ENGINE_SPACES["transpositions:4-chi"] = lambda: chi_space(4)
+
+
+def _small_degrees(space):
+    """Degrees 0..n with d^n <= 216 and n <= 5."""
+    top = 0
+    while top < 5 and space.dim ** (top + 1) <= 216:
+        top += 1
+    return range(top + 1)
+
+
+@pytest.mark.parametrize("name", list(ENGINE_SPACES))
+def test_engine_matches_symmetrizer_path(name):
+    # dims, kept words and kept vectors (value and stored field order)
+    # against the lexicographically-first columns of the symmetrizer
+    space = ENGINE_SPACES[name]()
+    basis = None
+    for degree in _small_degrees(space):
+        basis = GradedBasis(space, degree, previous=basis)
+        columns = symmetrizer_matrix(space, degree).columns()
+        span = IncrementalSpan()
+        for tag in sorted(columns):
+            span.add(columns[tag], tag)
+        assert basis.dim == span.dim
+        assert basis.tags == span.kept
+        for tag, vector in zip(basis.tags, basis.vectors):
+            column = columns[tag]
+            assert vector == column
+            assert {k: v.order for k, v in vector.items()} == {
+                k: v.order for k, v in column.items()
+            }
+
+
+@pytest.mark.parametrize("name", list(ENGINE_SPACES))
+def test_engine_dims_match_dense_oracle(name):
+    space = ENGINE_SPACES[name]()
+    degrees = _small_degrees(space)
+    basis, dims = None, []
+    for degree in degrees:
+        basis = GradedBasis(space, degree, previous=basis)
+        dims.append(basis.dim)
+    assert dims == oracle_graded_dims(space, degrees[-1])
+
+
+def _bracket_series(*brackets):
+    """Coefficients of the product of (k)_t = 1 + t + ... + t^(k-1)."""
+    coeffs = [1]
+    for k in brackets:
+        out = [0] * (len(coeffs) + k - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(k):
+                out[i + j] += c
+        coeffs = out
+    return tuple(coeffs)
+
+
+def _check_full_series(space, brackets, total):
+    expected = _bracket_series(*brackets)
+    top = len(expected) - 1
+    report = hilbert_series(space, top + 1)
+    _check_graded_report(space, report)
+    assert report.dims == expected + (0,)
+    assert report.terminated_at == top + 1
+    assert report.total == total
+
+
+def test_full_series_tetrahedron():
+    # (2)^2 (3) (6), top degree 9
+    _check_full_series(_constant_space("tetrahedron", 2), (2, 2, 3, 6), 72)
+
+
+@pytest.mark.parametrize("space", [
+    lambda: _constant_space("transpositions:4", 2),
+    lambda: chi_space(4),
+    lambda: _constant_space("four_cycles_S4", 2),
+], ids=["transpositions4-minus1", "transpositions4-chi", "four_cycles_S4-minus1"])
+def test_full_series_fomin_kirillov_4(space):
+    # (2)^2 (3)^2 (4)^2, top degree 12
+    _check_full_series(space(), (2, 2, 3, 3, 4, 4), 576)
+
+
+def test_full_series_affine_5_2():
+    # (4)^4 (5), top degree 16
+    _check_full_series(_constant_space("affine:5,2", 2), (4, 4, 4, 4, 5), 1280)
 
 
 def _report(dims, terminated_at=None):
@@ -369,14 +465,21 @@ def test_shuffle_perm_count():
 
 
 def test_graded_basis_keeps_symmetrizer_columns():
+    # each kept vector, read off the engine as iterated derivations, is the
+    # symmetrizer column of its kept word, entry for entry in value and in
+    # stored field order, and solves to its own basis position
     space = chi_space(3)
-    assert GradedBasis(space, 0).columns == {0: {0: CycScalar.one()}}
-    for degree in range(1, 4):
+    for degree in range(0, 5):
         basis = GradedBasis(space, degree)
-        assert basis.columns == symmetrizer_matrix(space, degree).columns()
-        assert basis.vectors == [basis.columns[t] for t in basis.tags]
-        for i, tag in enumerate(basis.tags):
-            assert basis.coordinates(basis.columns[tag]) == {i: CycScalar.one()}
+        columns = symmetrizer_matrix(space, degree).columns()
+        assert len(basis.vectors) == basis.dim == len(basis.tags)
+        for i, (tag, vector) in enumerate(zip(basis.tags, basis.vectors)):
+            column = columns[tag]
+            assert vector == column
+            assert {k: v.order for k, v in vector.items()} == {
+                k: v.order for k, v in column.items()
+            }
+            assert basis.coordinates(column) == {i: CycScalar.one()}
 
 
 def test_graded_basis_dimensions_and_coordinates():

@@ -280,16 +280,19 @@ class GradedHopfSlice:
     def group_like_keys(self) -> list[BasisKey]:
         return [key for key in self.basis if key[0] == 0]
 
+    def basis_product(self, ka: BasisKey, kb: BasisKey) -> Element:
+        entry = self.product.get((ka, kb))
+        if entry is None:
+            raise BoundExceededError(
+                f"product {ka} * {kb} leaves the degree-{self.cutoff} slice"
+            )
+        return entry
+
     def multiply(self, a: Element, b: Element) -> Element:
         out: Element = {}
         for ka, ca in a.items():
             for kb, cb in b.items():
-                entry = self.product.get((ka, kb))
-                if entry is None:
-                    raise BoundExceededError(
-                        f"product {ka} * {kb} leaves the degree-{self.cutoff} slice"
-                    )
-                axpy(out, ca * cb, entry)
+                axpy(out, ca * cb, self.basis_product(ka, kb))
         return out
 
     def apply_antipode(self, element: Element) -> Element:
@@ -520,8 +523,13 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
             for kc in slice_.basis:
                 if ka[0] + kb[0] + kc[0] > D:
                     continue
-                lhs = slice_.multiply(ab, {kc: one})
-                rhs = slice_.multiply({ka: one}, slice_.product[(kb, kc)])
+                # (ab)c and a(bc), one basis product per term
+                lhs: Element = {}
+                for k, coeff in ab.items():
+                    axpy(lhs, coeff, slice_.basis_product(k, kc))
+                rhs: Element = {}
+                for k, coeff in slice_.product[(kb, kc)].items():
+                    axpy(rhs, coeff, slice_.basis_product(ka, k))
                 if lhs != rhs:
                     raise AxiomFailsError("associativity", (ka, kb, kc))
                 checked += 1

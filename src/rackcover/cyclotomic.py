@@ -3,11 +3,17 @@
 An element is stored by its coordinates in the power basis
 1, z, ..., z^(phi(N)-1) of Q[z]/(Phi_N(z)), where Phi_N is the N-th
 cyclotomic polynomial and z stands for a primitive N-th root of unity.
-Coefficients are `fractions.Fraction`; every operation is exact and
-there is no floating point anywhere in this module.
+A coordinate is an `int` when it is integral and a `fractions.Fraction`
+otherwise, never a float; every operation is exact and there is no
+floating point anywhere in this module.
 
-Elements of different orders mix freely: binary operations lift both
-operands into Q(zeta_lcm) via z_N = z_M^(M/N) before combining them.
+Operands of the same order combine coordinate by coordinate and lift
+nothing; a product reduces through a cached table of the coordinates of
+z^k.  A rational (order 1) operand meets an order-N one as (r, 0, ..., 0).
+Other mixed orders lift both operands into Q(zeta_lcm) via
+z_N = z_M^(M/N).  Every result is stored at the lcm of its operand
+orders, and `to_json` and `as_root_string` print a value at its stored
+order, so byte-stable exports rely on this rule.
 """
 
 from __future__ import annotations
@@ -76,7 +82,14 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(coeffs: list[Fraction], order: int) -> tuple[Fraction, ...]:
+def _norm(c):
+    """A coordinate as an int when it is integral, else as a Fraction."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _reduce(coeffs, order: int) -> tuple:
     """Reduce a polynomial in z modulo Phi_order; returns phi(order) coords."""
     deg = euler_phi(order)
     phi = cyclotomic_polynomial(order)
@@ -87,16 +100,40 @@ def _reduce(coeffs: list[Fraction], order: int) -> tuple[Fraction, ...]:
             # subtract lead * x^(k-deg) * Phi (Phi is monic)
             for i, c in enumerate(phi):
                 coeffs[k - deg + i] -= lead * c
-    coeffs = coeffs[:deg]
-    coeffs += [Fraction(0)] * (deg - len(coeffs))
-    return tuple(coeffs)
+    coeffs = [_norm(c) for c in coeffs[:deg]]
+    return tuple(coeffs + [0] * (deg - len(coeffs)))
 
 
 @lru_cache(maxsize=None)
-def _unit_power(order: int, k: int) -> tuple[Fraction, ...]:
+def _unit_power(order: int, k: int) -> tuple:
     # coordinates of z^k in Q(zeta_order)
     k %= order
-    return _reduce([Fraction(0)] * k + [Fraction(1)], order)
+    return _reduce([0] * k + [1], order)
+
+
+@lru_cache(maxsize=None)
+def _high_powers(order: int) -> tuple:
+    # the nonzero (i, coordinate) pairs of z^k for phi <= k <= 2 phi - 2,
+    # the powers a product of two reduced elements reaches
+    deg = euler_phi(order)
+    return tuple(
+        tuple((i, c) for i, c in enumerate(_unit_power(order, k)) if c)
+        for k in range(deg, 2 * deg - 1)
+    )
+
+
+def _times(a: tuple, b: tuple, order: int) -> tuple:
+    """Coordinates of the product of two elements of Q(zeta_order)."""
+    if len(a) == 1:
+        return (_norm(a[0] * b[0]),)
+    deg = len(a)
+    prod = _polymul(a, b)
+    for k, row in enumerate(_high_powers(order), start=deg):
+        lead = prod[k]
+        if lead:
+            for i, c in row:
+                prod[i] += lead * c
+    return tuple([_norm(c) for c in prod[:deg]])
 
 
 class CycScalar:
@@ -111,13 +148,13 @@ class CycScalar:
 
     def __init__(self, order: int, coeffs):
         deg = euler_phi(order)
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is int else _norm(Fraction(c)) for c in coeffs)
         if len(coeffs) != deg:
             raise ValueError(
                 f"need {deg} coordinates for order {order}, got {len(coeffs)}"
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_order(self, order)
+        _set_coeffs(self, coeffs)
 
     def __setattr__(self, *a):
         raise AttributeError("CycScalar is immutable")
@@ -126,22 +163,17 @@ class CycScalar:
 
     @classmethod
     def rational(cls, value, order: int = 1) -> "CycScalar":
-        value = Fraction(value)
-        coeffs = [Fraction(0)] * euler_phi(order)
-        coeffs[0] = value
-        if order > 1:
-            # the constant sits on the basis vector 1 = z^0
-            return cls(order, _reduce(coeffs, order))
-        return cls(order, coeffs)
+        # the constant sits on the basis vector 1 = z^0
+        return cls(order, [value] + [0] * (euler_phi(order) - 1))
 
     @classmethod
     def root_of_unity(cls, order: int, k: int = 1) -> "CycScalar":
         """zeta_order^k."""
-        return cls(order, _unit_power(order, k))
+        return _make(order, _unit_power(order, k))
 
     @classmethod
     def zero(cls, order: int = 1) -> "CycScalar":
-        return cls(order, [Fraction(0)] * euler_phi(order))
+        return _make(order, (0,) * euler_phi(order))
 
     @classmethod
     def one(cls, order: int = 1) -> "CycScalar":
@@ -150,9 +182,7 @@ class CycScalar:
     @classmethod
     def from_root_counts(cls, order: int, counts) -> "CycScalar":
         """Sum of counts[k] * zeta_order^k, one reduction at the end."""
-        poly = [Fraction(c) for c in counts]
-        poly += [Fraction(0)] * (max(0, order - len(poly)))
-        return cls(order, _reduce(poly, order))
+        return _make(order, _reduce(counts, order))
 
     # --- coercion helpers ----------------------------------------------
 
@@ -163,10 +193,10 @@ class CycScalar:
         if new_order % self.order:
             raise ValueError(f"{self.order} does not divide {new_order}")
         step = new_order // self.order
-        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        poly = [0] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):
             poly[i * step] = c
-        return CycScalar(new_order, _reduce(poly, new_order))
+        return _make(new_order, _reduce(poly, new_order))
 
     @staticmethod
     def _coerce(value) -> "CycScalar":
@@ -176,12 +206,29 @@ class CycScalar:
             return CycScalar.rational(value)
         return NotImplemented
 
-    def _common(self, other):
-        other = CycScalar._coerce(other)
-        if other is NotImplemented:
+    def _pair(self, other):
+        """Both operands' coordinates at the lcm m of their orders, and m;
+        None if `other` is not a scalar.  Equal orders lift nothing, and a
+        rational meets an order-m element as (r, 0, ..., 0)."""
+        if isinstance(other, CycScalar):
+            b, m = other.coeffs, other.order
+        elif isinstance(other, (int, Fraction)):
+            b, m = (_norm(other),), 1
+        else:
             return None
-        m = self.order * other.order // gcd(self.order, other.order)
-        return self.lift(m), other.lift(m), m
+        a, n = self.coeffs, self.order
+        if n == m:
+            return a, b, n
+        if m == 1:
+            return a, b + (0,) * (len(a) - 1), n
+        if n == 1:
+            return a + (0,) * (len(b) - 1), b, m
+        lcm = n * m // gcd(n, m)
+        if n != lcm:
+            a = self.lift(lcm).coeffs
+        if m != lcm:
+            b = other.lift(lcm).coeffs
+        return a, b, lcm
 
     # --- predicates -----------------------------------------------------
 
@@ -195,56 +242,61 @@ class CycScalar:
             # might still be rational in disguise (e.g. z_3 + z_3^2 = -1)?
             # no: the power basis is a basis, rationals have a unique form.
             return None
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     # --- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        pair = self._common(other)
+        pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b, m = pair
-        return CycScalar(m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return _make(m, tuple([_norm(x + y) for x, y in zip(a, b)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.order, [-c for c in self.coeffs])
+        return _make(self.order, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
-        pair = self._common(other)
+        pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b, m = pair
-        return CycScalar(m, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return _make(m, tuple([_norm(x - y) for x, y in zip(a, b)]))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycScalar(self.order, [c * f for c in self.coeffs])
-        pair = self._common(other)
+        if isinstance(other, CycScalar):
+            if other.order == self.order:
+                return _make(self.order, _times(self.coeffs, other.coeffs, self.order))
+            if other.order == 1:
+                return self._scaled(other.coeffs[0])
+            if self.order == 1:
+                return other._scaled(self.coeffs[0])
+        elif isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b, m = pair
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return CycScalar(m, _reduce(prod, m))
+        return _make(m, _times(a, b, m))
 
     __rmul__ = __mul__
 
+    def _scaled(self, r) -> "CycScalar":
+        return _make(self.order, tuple([_norm(c * r) for c in self.coeffs]))
+
     def inverse(self) -> "CycScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        on (self, Phi_N) in Q[x]."""
+        """Multiplicative inverse: one rational division when phi(N) = 1,
+        else the extended Euclidean algorithm on (self, Phi_N) in Q[x]."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
         n = self.order
+        if len(self.coeffs) == 1:
+            return _make(n, (_norm(1 / Fraction(self.coeffs[0])),))
         phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
         r0, r1 = phi, [Fraction(c) for c in self.coeffs]
         s0, s1 = [Fraction(0)], [Fraction(1)]
@@ -256,16 +308,13 @@ class CycScalar:
         const = next(c for c in r0 if c)
         if any(c for i, c in enumerate(r0) if i and c):
             raise ArithmeticError("gcd with Phi_N not constant")
-        inv = [c / const for c in s0]
-        result = CycScalar(n, _reduce(inv, n))
-        return result
+        return _make(n, _reduce([c / const for c in s0], n))
 
     def __truediv__(self, other):
-        pair = self._common(other)
-        if pair is None:
+        other = CycScalar._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b, _m = pair
-        return a * b.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = CycScalar._coerce(other)
@@ -291,11 +340,11 @@ class CycScalar:
     # --- comparison -----------------------------------------------------
 
     def __eq__(self, other):
-        pair = self._common(other)
+        pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b, _m = pair
-        return a.coeffs == b.coeffs
+        return a == b
 
     # equal values can live at different orders, so there is no cheap
     # canonical form to hash; forbid set/dict membership instead.
@@ -346,6 +395,20 @@ class CycScalar:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
 
+_new = object.__new__
+_set_order = CycScalar.order.__set__
+_set_coeffs = CycScalar.coeffs.__set__
+
+
+def _make(order: int, coeffs: tuple) -> CycScalar:
+    """A CycScalar from coordinates already reduced and normalized; the
+    arithmetic's results skip the validation of `CycScalar.__init__`."""
+    scalar = _new(CycScalar)
+    _set_order(scalar, order)
+    _set_coeffs(scalar, coeffs)
+    return scalar
+
+
 def _polydivmod(num, den):
     num = list(num)
     dn = len(den)
@@ -366,7 +429,7 @@ def _polydivmod(num, den):
 
 
 def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):

@@ -71,7 +71,8 @@ class ExactMatrix:
             cleaned[(r, c)] = value
         self.order = order
         self.entries = {
-            pos: value.lift(order) for pos, value in cleaned.items()
+            pos: value if value.order == order else value.lift(order)
+            for pos, value in cleaned.items()
         }
 
     def row_dicts(self) -> list[Vector]:

@@ -174,18 +174,37 @@ def test_taft_relations_hold():
     assert slice_.product[(key2, E)] == {}
 
 
-@pytest.mark.parametrize("table", ["product", "coproduct", "antipode"])
-def test_verify_hopf_detects_a_changed_structure_constant(table):
+E = (1, 0, 0)
+
+
+@pytest.mark.parametrize("table, key, axiom", [
+    ("product", (E, (0, 0, 1)), None),
+    # associativity is the first axiom to read E * E
+    ("product", (E, E), "associativity"),
+    ("coproduct", E, None),
+    ("antipode", E, None),
+], ids=["product", "product-degree-1", "coproduct", "antipode"])
+def test_verify_hopf_detects_a_changed_structure_constant(table, key, axiom):
     # sparse elements are compared with ==, so one changed coefficient
     # anywhere must make some axiom fail
     datum = rank_one_datum(group_order=3, q_order=3)
     slice_ = build_slice(datum, 2)
-    E = (1, 0, 0)
     structure = getattr(slice_, table)
-    key = (E, (0, 0, 1)) if table == "product" else E
     structure[key] = {k: v * 2 for k, v in structure[key].items()}
-    with pytest.raises(AxiomFailsError):
+    with pytest.raises(AxiomFailsError) as exc:
         verify_hopf(slice_)
+    if axiom is not None:
+        assert exc.value.axiom == axiom
+
+
+def test_s3_chi_slice_at_cutoff_4_checks_every_instance():
+    slice_ = build_slice(s3_chi_datum(), 4)
+    assert slice_.dims == (1, 3, 4, 3, 1)
+    counts = {name: count for name, count, _ in verify_hopf(slice_).axioms}
+    assert counts == {
+        "counit": 72, "coassociativity": 72, "unit": 72,
+        "associativity": 79920, "bialgebra": 3240, "antipode": 72,
+    }
 
 
 SHUFFLE_ORACLE_DATA = {

@@ -1,7 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import rackcover
 
 from rackcover.bosonization import (
     YDDatum,
@@ -449,11 +455,7 @@ def c12_mixed_order_datum():
     return datum
 
 
-def test_no_meta_output_is_byte_stable(tmp_path, monkeypatch, capsys):
-    # relative datum paths: the config block echoes them into the output
-    monkeypatch.chdir(tmp_path)
-    taft = rank_one_datum(group_order=3, q_order=3)
-    (tmp_path / "taft3.json").write_text(json.dumps(datum_to_json(taft)))
+def write_s3_chi_datum(path):
     cocycle = chi_cocycle(3)
     elems = transposition_elements(3)
     s3 = datum_from_generators(
@@ -461,9 +463,36 @@ def test_no_meta_output_is_byte_stable(tmp_path, monkeypatch, capsys):
         FiniteGroup.from_permutations(elems, label="S3"),
         elems,
     )
-    (tmp_path / "s3chi.json").write_text(json.dumps(datum_to_json(s3)))
+    path.write_text(json.dumps(datum_to_json(s3)))
+
+
+def test_no_meta_output_is_byte_stable(tmp_path, monkeypatch, capsys):
+    # relative datum paths: the config block echoes them into the output
+    monkeypatch.chdir(tmp_path)
+    taft = rank_one_datum(group_order=3, q_order=3)
+    (tmp_path / "taft3.json").write_text(json.dumps(datum_to_json(taft)))
+    write_s3_chi_datum(tmp_path / "s3chi.json")
     (tmp_path / "c12.json").write_text(json.dumps(datum_to_json(c12_mixed_order_datum())))
     for argv, digest in GOLDEN.items():
         code, out, err = run(capsys, *argv, "--no-meta")
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "bosonize", "--datum", "s3chi.json", "--cutoff", "2", "--export-structure"],
+    ["nichols", "relators", "--builtin", "tetrahedron", "--max-degree", "3"],
+], ids=["hopf-bosonize", "nichols-relators"])
+def test_no_meta_output_is_independent_of_the_hash_seed(tmp_path, argv):
+    write_s3_chi_datum(tmp_path / "s3chi.json")
+    src = Path(rackcover.__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rackcover.cli", *argv, "--no-meta"],
+            cwd=tmp_path, env=env, capture_output=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]

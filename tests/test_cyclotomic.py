@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rackcover.cyclotomic import (
     CycScalar,
@@ -115,3 +117,116 @@ def test_root_string_round_trip():
 def test_str_forms():
     assert str(CycScalar.rational(-1)) == "-1"
     assert "z4" in str(root_of_unity(4))
+
+
+# --- differential test against a Fraction reference -------------------------
+
+ORDERS = (1, 2, 3, 4, 6, 12)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _reduce_ref(poly, order):
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * deg
+    for k in range(len(poly) - 1, deg - 1, -1):
+        for i, c in enumerate(phi):
+            poly[k - deg + i] -= poly[k] * c
+    return poly[:deg]
+
+
+def _lift_ref(x, order):
+    step = order // x.order
+    poly = [Fraction(0)] * (len(x.coeffs) * step)
+    for i, c in enumerate(x.coeffs):
+        poly[i * step] = Fraction(c)
+    return _reduce_ref(poly, order)
+
+
+def _mul_ref(a, b, order):
+    poly = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            poly[i + j] += x * y
+    return _reduce_ref(poly, order)
+
+
+def _check(result, order, coords):
+    """`result` is `coords` at `order`, with every coordinate an int or a
+    non-integral Fraction."""
+    assert result.order == order
+    assert list(result.coeffs) == coords
+    for c in result.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), result
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("m", ORDERS)
+@given(data=st.data())
+def test_arithmetic_matches_the_fraction_reference(n, m, data):
+    a = CycScalar(n, data.draw(st.lists(small, min_size=euler_phi(n), max_size=euler_phi(n))))
+    b = CycScalar(m, data.draw(st.lists(small, min_size=euler_phi(m), max_size=euler_phi(m))))
+    r = data.draw(small)
+    lcm = n * m // gcd(n, m)
+    fa, fb, fr = _lift_ref(a, lcm), _lift_ref(b, lcm), [r] + [Fraction(0)] * (euler_phi(n) - 1)
+    own = _lift_ref(a, n)
+    _check(a, n, own)
+    _check(a.lift(lcm), lcm, fa)
+    _check(a + b, lcm, [x + y for x, y in zip(fa, fb)])
+    _check(a - b, lcm, [x - y for x, y in zip(fa, fb)])
+    _check(a * b, lcm, _mul_ref(fa, fb, lcm))
+    _check(-a, n, [-x for x in own])
+    _check(a + r, n, [x + y for x, y in zip(own, fr)])
+    _check(r - a, n, [y - x for x, y in zip(own, fr)])
+    _check(r * a, n, [r * x for x in own])
+    assert (a == b) == (fa == fb)
+    assert a == a.lift(lcm) and b == b.lift(lcm)
+    assert (a == r) == (own == fr)
+    if not a.is_zero:
+        inverse = a.inverse()
+        _check(inverse, n, _lift_ref(inverse, n))
+        assert _mul_ref(own, list(inverse.coeffs), n) == _lift_ref(CycScalar.one(n), n)
+    if not b.is_zero:
+        quotient = a / b
+        _check(quotient, lcm, _lift_ref(quotient, lcm))
+        assert _mul_ref(_lift_ref(quotient, lcm), fb, lcm) == fa
+
+
+# --- formatting, pinned as the Fraction-coordinate implementation printed it --
+
+FORMATS = [
+    # (value, str, repr, to_json, as_root_string, as_rational)
+    (lambda: CycScalar.rational(Fraction(1, 2)),
+     "1/2", "CycScalar(1, ['1/2'])", "1/2", None, Fraction(1, 2)),
+    (lambda: CycScalar.rational(Fraction(-3, 4)) * root_of_unity(3),
+     "-3/4*z3", "CycScalar(3, ['0', '-3/4'])",
+     {"order": 3, "coeffs": ["0", "-3/4"]}, None, None),
+    (lambda: root_of_unity(12, 5),
+     "-z12 + z12^3", "CycScalar(12, ['0', '-1', '0', '1'])", "12 5", "12 5", None),
+    (lambda: (root_of_unity(3) + Fraction(1, 3)).lift(12),
+     "-2/3 + z12^2", "CycScalar(12, ['-2/3', '0', '1', '0'])",
+     {"order": 12, "coeffs": ["-2/3", "0", "1", "0"]}, None, None),
+    (lambda: CycScalar.rational(5, 4),
+     "5", "CycScalar(4, ['5', '0'])", "5", None, Fraction(5)),
+    (lambda: CycScalar.rational(-1, 2),
+     "-1", "CycScalar(2, ['-1'])", "2 1", "2 1", Fraction(-1)),
+    (lambda: CycScalar(6, [Fraction(2, 3), -2]),
+     "2/3 - 2*z6", "CycScalar(6, ['2/3', '-2'])",
+     {"order": 6, "coeffs": ["2/3", "-2"]}, None, None),
+    (lambda: CycScalar.zero(3),
+     "0", "CycScalar(3, ['0', '0'])", "0", None, Fraction(0)),
+    (lambda: root_of_unity(4),
+     "z4", "CycScalar(4, ['0', '1'])", "4 1", "4 1", None),
+]
+
+
+@pytest.mark.parametrize("make, text, rep, json_form, root, rational", FORMATS)
+def test_formatting_is_pinned(make, text, rep, json_form, root, rational):
+    value = make()
+    assert str(value) == text
+    assert repr(value) == rep
+    assert value.to_json() == json_form
+    assert value.as_root_string() == root
+    assert value.as_rational() == rational
+    if rational is not None:
+        assert type(value.as_rational()) is Fraction

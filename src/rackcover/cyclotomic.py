@@ -236,6 +236,10 @@ class CycScalar:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    def __bool__(self) -> bool:
+        # false exactly for zero, as for Python numbers
+        return any(self.coeffs)
+
     def as_rational(self) -> Fraction | None:
         """The element as a Fraction if it is rational, else None."""
         if any(self.coeffs[1:]):

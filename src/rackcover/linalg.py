@@ -1,15 +1,25 @@
 """Exact sparse linear algebra over Q(zeta_N), plus integer Smith normal form.
 
 Matrices are stored sparsely (no zero entries, one entry per position) and
-all elimination runs in exact field arithmetic.  Pivot columns are chosen
-sparsity-greedily (fewest nonzeros first) because the matrices arising from
-quantum symmetrizers are monomial-sparse.
+all elimination runs in exact field arithmetic.  Both eliminators choose
+their pivot columns for sparsity, because the matrices arising from quantum
+symmetrizers and braided derivations are monomial-sparse:
+
+* `_eliminate` (behind `rank_kernel` and the support search) sees all rows
+  at once and pivots on the column with the fewest nonzeros among the
+  active rows;
+* `IncrementalSpan` (behind every graded component) sees one vector at a
+  time and pivots on the residual column that the fewest stored pivot
+  tails hold, so that later vectors meet the new pivot as seldom as
+  possible.
 
 Sparse vectors, here and in the modules built on this one, are dicts
 key -> scalar that never store a zero.  Only the kernel adds into them:
 `add_terms` and its scaled form `axpy` drop every entry that cancels.
 So two vectors are equal exactly when their dicts compare equal with `==`
-(scalars of different orders compare by value).
+(scalars of different orders compare by value).  The kernel,
+`_combination` and `IncrementalSpan` take any exact scalars: `CycScalar`s,
+or Python ints and Fractions when the field is Q.
 
 Ranks reported by this module always come from exact elimination; modular
 shortcuts are deliberately not used.
@@ -17,6 +27,7 @@ shortcuts are deliberately not used.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -37,15 +48,24 @@ def add_terms(target: dict, terms) -> None:
     for key, term in terms:
         acc = target.get(key)
         val = term if acc is None else acc + term
-        if val.is_zero:
+        if not val:
             target.pop(key, None)
         else:
             target[key] = val
 
 
-def axpy(target: dict, coeff: CycScalar, source: dict) -> None:
+def axpy(target: dict, coeff, source: dict) -> None:
     """target += coeff * source, in place; `source` is not modified."""
     add_terms(target, ((key, coeff * value) for key, value in source.items()))
+
+
+def inverse(value):
+    """1 / value, exactly: `CycScalar.inverse` for a CycScalar; for a
+    Python number an int when the quotient is integral, else a Fraction."""
+    if isinstance(value, CycScalar):
+        return value.inverse()
+    inv = Fraction(1, value)
+    return inv.numerator if inv.denominator == 1 else inv
 
 
 class ExactMatrix:
@@ -218,10 +238,20 @@ class IncrementalSpan:
     maximal independent subset, which is what the graded-basis choices in
     the higher modules rely on.  `coordinates` expresses a member of the
     span in terms of the kept vectors exactly.
+
+    A kept vector's pivot is the column of its residual that the fewest
+    stored pivot tails hold, ties to the lowest column.  Any column of the
+    residual is a valid pivot: `_reduce` walks the pivots in insertion
+    order, so a residual holds no earlier pivot column and neither does
+    the new tail.  Which vectors are kept, and their coefficients in
+    `combination` and `coordinates`, depend only on the insertion order,
+    never on the pivots.
     """
 
     def __init__(self):
         self._pivots: list[tuple[int, Vector, dict[int, CycScalar]]] = []
+        # column -> number of stored pivot tails that hold it
+        self._held: Counter = Counter()
         self.kept: list[int] = []
         self._inserted: dict[int, Vector] = {}
         # {kept tag: coefficient} of the last dependent vector `add` met
@@ -254,8 +284,9 @@ class IncrementalSpan:
                 raise InternalCheckError("dependence not certified by inserted vectors")
             self.combination = combo
             return False
-        col = min(residual)
-        inv = residual.pop(col).inverse()
+        held = self._held
+        col = min(residual, key=lambda c: (held.get(c, 0), c))
+        inv = inverse(residual.pop(col))
         # the new pivot row is e_col - neg_tail, and in terms of kept
         # vectors it is inv * (vector - sum combo[tag'] * kept_tag')
         neg_inv = -inv
@@ -263,13 +294,10 @@ class IncrementalSpan:
         expr = {tag: inv}
         axpy(expr, neg_inv, combo)
         self._pivots.append((col, neg_tail, expr))
+        held.update(neg_tail.keys())  # count each column once, not its value
         self.kept.append(tag)
         self._inserted[tag] = vector
         return True
-
-    def contains(self, vector: Vector) -> bool:
-        residual, _ = self._reduce(vector)
-        return not residual
 
     def coordinates(self, vector: Vector) -> dict[int, CycScalar] | None:
         """Coefficients over the kept tags, or None if not in the span."""

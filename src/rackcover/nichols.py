@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braiding import BraidedSpace, quadratic_analysis
-from .cyclotomic import CycScalar
+from .cyclotomic import CycScalar, euler_phi
 from .errors import BoundExceededError, InternalCheckError
 from .groups import identity_perm, perm_compose
 from .linalg import (
@@ -313,7 +313,12 @@ class GradedBasis:
     * derivations[i] = {y: D_y e_i}, over the kept basis of B^(n-1);
     * right[x][j] = coordinates of b_j v_x in this basis: e_i for a kept
       candidate, its certified combination else.
-    `max_cols` bounds the candidate count d * dim B^(n-1)."""
+    `max_cols` bounds the candidate count d * dim B^(n-1).
+
+    When phi(N) = 1 (N <= 2) the field is Q, and the elimination, the
+    derivations and `_right` hold plain ints, with a Fraction only where a
+    division needs one.  Scalars leave the engine as CycScalars of the
+    cocycle order, through `vectors`, `right` and `coordinates`."""
 
     def __init__(
         self,
@@ -330,25 +335,28 @@ class GradedBasis:
         self._previous = previous
         self._vectors: list[dict[int, CycScalar]] | None = None
         self._span: IncrementalSpan | None = None
+        self._exported_right: list[list[dict]] | None = None
+        N = space.cocycle.order
+        self._plain = euler_phi(N) == 1
         rack = space.rack
         if degree == 0:
             self.tags = [0]
             self.derivations: list[dict] = [{}]
-            self.right: list[list[dict]] = []
+            self._right: list[list[dict]] = []
             self.grades = [(identity_perm(rack.n), (0,) * len(rack.orbits()))]
             return
         if previous is None:
             previous = self._previous = GradedBasis(space, degree - 1, max_cols)
         elif previous.degree != degree - 1:
             raise ValueError("previous component must have degree one lower")
-        d, N = space.dim, space.cocycle.order
+        d = space.dim
         count = d * previous.dim
         if count > max_cols:
             raise BoundExceededError(
                 f"degree {degree} needs {count} candidate columns, bound is {max_cols}"
             )
-        one = CycScalar.one(N)
-        q = [[CycScalar.root_of_unity(N, space.cocycle.exponent(y, x))
+        one = self._internal(CycScalar.one(N))
+        q = [[self._internal(CycScalar.root_of_unity(N, space.cocycle.exponent(y, x)))
               for x in range(d)] for y in range(d)]
         orbit_of = {x: k for k, block in enumerate(rack.orbits()) for x in block}
         grade_ids: dict = {}
@@ -361,11 +369,11 @@ class GradedBasis:
                 key = (perm_compose(perm, rack.translation(x)), tuple(bumped))
                 grades.append(key)
                 candidate_grade.append(grade_ids.setdefault(key, len(grade_ids)))
-        lower_right = previous.right
+        lower_right = previous._right
         spans: dict[int, IncrementalSpan] = {}
         position: dict[int, int] = {}
         self.tags, self.derivations, self.grades = [], [], []
-        self.right = [[None] * previous.dim for _ in range(d)]
+        self._right = [[None] * previous.dim for _ in range(d)]
         for j, (t, derivs) in enumerate(zip(previous.tags, previous.derivations)):
             for x in range(d):
                 c = j * d + x
@@ -388,7 +396,7 @@ class GradedBasis:
                     span = spans[grade] = IncrementalSpan()
                 if span.add(vector, tag=c):
                     position[c] = len(self.tags)
-                    self.right[x][j] = {len(self.tags): one}
+                    self._right[x][j] = {len(self.tags): one}
                     self.tags.append(t * d + x)
                     self.grades.append(grades[c])
                     blocks: dict[int, dict[int, CycScalar]] = {}
@@ -397,13 +405,36 @@ class GradedBasis:
                         blocks.setdefault(y, {})[i] = value
                     self.derivations.append(blocks)
                 else:
-                    self.right[x][j] = {
+                    self._right[x][j] = {
                         position[k]: value for k, value in span.combination.items()
                     }
+
+    def _internal(self, scalar: CycScalar):
+        """A scalar of the cocycle field as the engine holds it."""
+        return scalar.coeffs[0] if self._plain else scalar
+
+    def _exported(self, value) -> CycScalar:
+        """An engine scalar as a CycScalar of the cocycle order."""
+        if self._plain:
+            return CycScalar.rational(value, self.space.cocycle.order)
+        return value
 
     @property
     def dim(self) -> int:
         return len(self.tags)
+
+    @property
+    def right(self) -> list[list[dict[int, CycScalar]]]:
+        """right[x][j]: coordinates of b_j v_x in this basis, over the
+        cocycle field; over Q they are exported on first use."""
+        if not self._plain:
+            return self._right
+        if self._exported_right is None:
+            self._exported_right = [
+                [{i: self._exported(v) for i, v in row.items()} for row in rows]
+                for rows in self._right
+            ]
+        return self._exported_right
 
     @property
     def vectors(self) -> list[dict[int, CycScalar]]:
@@ -423,6 +454,7 @@ class GradedBasis:
                     vector: dict[int, CycScalar] = {}
                     for y, coeffs in blocks.items():
                         for i, coeff in coeffs.items():
+                            coeff = self._exported(coeff)
                             add_terms(vector, (
                                 (w * d + y, coeff * value)
                                 for w, value in lower[i].items()

@@ -59,6 +59,18 @@ def test_inverse_of_zero_raises():
         CycScalar.zero(3).inverse()
 
 
+def test_truth_value_is_nonzero():
+    rng = random.Random(11)
+    values = [CycScalar.zero(n) for n in (1, 2, 3, 4, 5, 12)]
+    values += [root_of_unity(n, k) for n in (2, 3, 4, 12) for k in range(n)]
+    values.append(root_of_unity(3) + root_of_unity(3, 2) + 1)  # zero at order 3
+    for n in (1, 3, 5, 12):
+        values.append(CycScalar(n, [rng.randint(-1, 1) for _ in range(euler_phi(n))]))
+    assert {bool(v) for v in values} == {False, True}
+    for value in values:
+        assert bool(value) == (not value.is_zero), repr(value)
+
+
 def test_cross_order_arithmetic():
     # zeta_6^3 = -1 = zeta_2, computed across orders
     assert root_of_unity(6) ** 3 == root_of_unity(2)

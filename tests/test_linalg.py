@@ -15,6 +15,7 @@ from rackcover.linalg import (
     add_terms,
     axpy,
     determinant,
+    inverse,
     rank_kernel,
     smith_normal_form,
     support_minimal_vectors,
@@ -332,7 +333,7 @@ def test_incremental_span_coordinates():
     coords = span.coordinates(v3)
     assert coords == {10: CycScalar.one(), 20: CycScalar.one()}
     assert span.coordinates(as_vec([0, 0, 0, 1])) is None
-    assert span.contains(v1)
+    assert span.coordinates(v1) is not None
 
 
 def test_incremental_span_certifies_each_dependence():
@@ -346,6 +347,108 @@ def test_incremental_span_certifies_each_dependence():
     with pytest.raises(InternalCheckError):
         span.add(as_vec([1, 3, 0]), tag=1)
     assert span.kept == [0]
+
+
+class MinPivotSpan:
+    """Reference span: IncrementalSpan's reduction with each kept vector
+    pivoted on the lowest column of its residual."""
+
+    def __init__(self):
+        self.pivots = []
+        self.kept = []
+        self.combination = {}
+
+    def _reduce(self, vector):
+        residual, combo = dict(vector), {}
+        for col, neg_tail, expr in self.pivots:
+            coeff = residual.pop(col, None)
+            if coeff is not None:
+                axpy(residual, coeff, neg_tail)
+                axpy(combo, coeff, expr)
+        return residual, combo
+
+    def add(self, vector, tag):
+        residual, combo = self._reduce(vector)
+        if not residual:
+            self.combination = combo
+            return False
+        col = min(residual)
+        inv = inverse(residual.pop(col))
+        expr = {tag: inv}
+        axpy(expr, -inv, combo)
+        self.pivots.append((col, {c: -inv * v for c, v in residual.items()}, expr))
+        self.kept.append(tag)
+        return True
+
+    def coordinates(self, vector):
+        residual, combo = self._reduce(vector)
+        return None if residual else combo
+
+
+def _random_scalar(rng, order):
+    """A small nonzero scalar: an int or Fraction for order 0, else a
+    CycScalar of the order with a few root-of-unity terms."""
+    if order == 0:
+        return rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    while True:
+        value = CycScalar.zero(order)
+        for _ in range(rng.randint(1, 2)):
+            root = root_of_unity(order, rng.randrange(order))
+            value = value + rng.choice([1, -1, 2]) * root
+        if value:
+            return value
+
+
+def _random_stream(rng, order, ambient, count):
+    """Sparse vectors in which about a third are combinations of earlier
+    ones, so that dependent adds and their combinations occur."""
+    stream = []
+    for _ in range(count):
+        if len(stream) >= 2 and rng.random() < 0.35:
+            vec = {}
+            for earlier in rng.sample(stream, rng.randint(2, min(3, len(stream)))):
+                axpy(vec, _random_scalar(rng, order), earlier)
+        else:
+            vec = {
+                c: _random_scalar(rng, order)
+                for c in rng.sample(range(ambient), rng.randint(1, 4))
+            }
+        if vec:
+            stream.append(vec)
+    return stream
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 0], ids=[
+    "order-1", "order-2", "order-3", "order-4", "int-fraction"])
+def test_fewest_tails_pivots_agree_with_lowest_column_pivots(order):
+    rng = random.Random(100 + order)
+    pivots_differ = False
+    dependent_adds = 0
+    for _ in range(12):
+        ambient = rng.randint(6, 14)
+        stream = _random_stream(rng, order, ambient, rng.randint(8, 20))
+        span, reference = IncrementalSpan(), MinPivotSpan()
+        for tag, vec in enumerate(stream):
+            kept = span.add(vec, tag)
+            assert kept == reference.add(vec, tag)
+            if not kept:
+                dependent_adds += 1
+                assert span.combination == reference.combination
+        assert span.kept == reference.kept
+        columns = [p[0] for p in span._pivots]
+        pivots_differ |= columns != [p[0] for p in reference.pivots]
+        queries = _random_stream(rng, order, ambient, 10) + stream
+        for vec in queries:
+            assert span.coordinates(vec) == reference.coordinates(vec)
+    # the comparison is only a test if the two rules chose different pivots
+    assert pivots_differ and dependent_adds
+
+
+def test_inverse_of_python_numbers_is_exact():
+    assert inverse(-1) == -1 and type(inverse(-1)) is int
+    assert inverse(2) == Fraction(1, 2)
+    assert inverse(Fraction(-1, 3)) == -3 and type(inverse(Fraction(-1, 3))) is int
+    assert inverse(root_of_unity(3)) == root_of_unity(3, 2)
 
 
 # --- sparse accumulation kernel -----------------------------------------------
@@ -396,7 +499,10 @@ def test_unit_coordinates_match_span_membership():
         span = IncrementalSpan()
         for tag, vec in enumerate(vectors):
             span.add(vec, tag)
-        expected = {i for i in range(ambient) if span.contains({i: CycScalar.one()})}
+        expected = {
+            i for i in range(ambient)
+            if span.coordinates({i: CycScalar.one()}) is not None
+        }
         pivots = _eliminate(vectors)
         assert {col for col, row in pivots if len(row) == 1} == expected
         _, units = support_minimal_vectors(vectors, ambient)

@@ -373,6 +373,20 @@ def test_full_series_affine_5_2():
     _check_full_series(_constant_space("affine:5,2", 2), (4, 4, 4, 4, 5), 1280)
 
 
+@pytest.mark.parametrize("name,brackets,degree,last", [
+    ("transpositions:5", (4, 4, 4, 4, 5, 5, 6, 6, 6, 6), 6, 4761),
+    ("affine:7,3", (6, 6, 6, 6, 6, 6, 7), 7, 1673),
+], ids=["fomin-kirillov-5", "affine-7-3"])
+def test_series_prefix_of_large_nichols_algebras(name, brackets, degree, last):
+    # published series (4)^4 (5)^2 (6)^4, dimension 8294400, and (6)^6 (7),
+    # dimension 326592, up to a degree a test can reach
+    space = _constant_space(name, 2)
+    report = hilbert_series(space, degree, max_cols=30000)
+    _check_graded_report(space, report)
+    assert report.dims == _bracket_series(*brackets)[: degree + 1]
+    assert report.dims[-1] == last
+
+
 def _report(dims, terminated_at=None):
     return GradedReport(
         dims=tuple(dims),

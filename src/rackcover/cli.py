@@ -667,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra relator word, e.g. 'x1 x1' (repeatable)")
     p.add_argument("--subgroup", action="append",
                    help="subgroup generator word (repeatable)")
-    p.add_argument("--max-cosets", type=int, default=100_000)
+    p.add_argument("--max-cosets", type=int, default=100_000,
+                   help="most cosets defined, merged ones included (default 100000)")
     _add_common(p)
     p.set_defaults(func=cmd_group_tc)
     p = group.add_parser("coverings")

@@ -1,32 +1,46 @@
-"""Todd-Coxeter coset enumeration, HLT strategy.
+"""Todd-Coxeter coset enumeration by HLT scan-and-fill.
 
-Deterministic: coset 0 is the subgroup, new cosets are introduced in scan
-order (relators in presentation order), and coincidences are folded
-immediately through a union-find table.  Returns the subgroup index, or
-raises CosetLimitError when more cosets get defined than the budget allows.
+The enumeration follows the HLT strategy (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005, section 5.1).  Coset 0 is
+the subgroup; each subgroup generator is scanned at it first.  Then every
+live coset, in order of definition, has each relator scanned at it forward
+and backward as far as the table is defined:
 
-Generators and their inverses are separate edge symbols; the relators
-g g^-1 and g^-1 g are scanned alongside the presentation's relators, which
-keeps the two edge directions consistent without separate bookkeeping.
+* the two scans meet: the relator closes, or its ends are a coincidence,
+  folded through a union-find table that keeps the smaller coset;
+* a gap of one letter: the edge and its inverse are set by deduction;
+* a longer gap: a new coset is defined at the forward end, and the scan
+  goes on.
+
+After its relators the coset's row is filled: every undefined edge gets a
+new coset.  Whole passes repeat until one defines nothing and merges
+nothing.  The table is then certified closed: every live row is complete
+and consistent with its inverse edges, every relator closes at every live
+coset and every subgroup generator closes at coset 0.  A certificate that
+fails is a bug, raised as InternalCheckError.
+
+`CosetTable.add_coset` is the only place a coset is defined.  It raises
+CosetLimitError once the number of cosets defined would pass the budget.
 """
 
 from __future__ import annotations
 
-from .errors import CosetLimitError
+from .errors import CosetLimitError, InternalCheckError
 from .presentations import Presentation, Word, free_reduce
 
 _UNDEF = -1
 
 
 def _symbols(word: Word) -> tuple[int, ...]:
-    # generator i -> symbol 2i, its inverse -> 2i + 1
+    # generator i -> symbol 2i, its inverse -> 2i + 1, so sym ^ 1 inverts
     return tuple(
         2 * (abs(letter) - 1) + (0 if letter > 0 else 1) for letter in word
     )
 
 
 class CosetTable:
-    """Union-find backed coset table over 2 * ngens edge symbols."""
+    """Union-find backed coset table over 2 * ngens edge symbols.  An edge
+    may point at a coset merged since; `find` gives its live coset."""
 
     def __init__(self, ngens: int, max_cosets: int):
         self.nsyms = 2 * ngens
@@ -69,20 +83,106 @@ class CosetTable:
                 else:
                     queue.append((row_a[sym], nb))
 
-    def follow(self, c: int, sym: int) -> int:
-        c = self.find(c)
-        row = self.neighbors[c]
-        if row[sym] == _UNDEF:
-            row[sym] = self.add_coset()
-        return self.find(row[sym])
+    def target(self, c: int, sym: int) -> int:
+        """The live coset c.sym, or _UNDEF; `c` must be live."""
+        nb = self.neighbors[c][sym]
+        return nb if nb == _UNDEF else self.find(nb)
 
-    def follow_word(self, c: int, symbols) -> int:
-        for sym in symbols:
-            c = self.follow(c, sym)
-        return c
+    def define(self, c: int, sym: int) -> int:
+        """A new coset d with c.sym = d and d.sym^-1 = c."""
+        d = self.add_coset()
+        self.neighbors[c][sym] = d
+        self.neighbors[d][sym ^ 1] = c
+        return d
 
-    def live_count(self) -> int:
-        return sum(1 for i in range(len(self.labels)) if self.find(i) == i)
+    def scan_and_fill(self, c: int, symbols: tuple[int, ...]):
+        """Make `symbols` close at the live coset c, defining cosets only
+        where the forward and backward scans leave a gap."""
+        f, b = c, c
+        i, j = 0, len(symbols) - 1
+        while True:
+            while i <= j:
+                nxt = self.target(f, symbols[i])
+                if nxt == _UNDEF:
+                    break
+                f, i = nxt, i + 1
+            if i > j:
+                if f != c:
+                    self.unify(f, c)
+                return
+            while j >= i:
+                prev = self.target(b, symbols[j] ^ 1)
+                if prev == _UNDEF:
+                    break
+                b, j = prev, j - 1
+            if j < i:
+                self.unify(f, b)
+                return
+            if j == i:
+                self.neighbors[f][symbols[i]] = b
+                self.neighbors[b][symbols[i] ^ 1] = f
+                return
+            self.define(f, symbols[i])
+
+    def live(self) -> list[int]:
+        return [i for i in range(len(self.labels)) if self.find(i) == i]
+
+
+def _enumerate(
+    ngens: int,
+    relators: list[tuple[int, ...]],
+    subgroup: list[tuple[int, ...]],
+    max_cosets: int,
+) -> CosetTable:
+    table = CosetTable(ngens, max_cosets)
+    table.add_coset()
+    # coset 0, the subgroup, stays live: unify keeps the smaller coset
+    for word in subgroup:
+        table.scan_and_fill(0, word)
+    while True:
+        defined_before, live_before = len(table.labels), len(table.live())
+        c = 0
+        while c < len(table.labels):
+            for rel in relators:
+                if table.find(c) != c:
+                    break
+                table.scan_and_fill(c, rel)
+            if table.find(c) == c:
+                row = table.neighbors[c]
+                for sym in range(table.nsyms):
+                    if row[sym] == _UNDEF:
+                        table.define(c, sym)
+            c += 1
+        if len(table.labels) == defined_before and len(table.live()) == live_before:
+            return table
+
+
+def _certify_closed(
+    table: CosetTable,
+    relators: list[tuple[int, ...]],
+    subgroup: list[tuple[int, ...]],
+):
+    """Raise InternalCheckError unless the table is a closed coset table."""
+    live = table.live()
+    for c in live:
+        for sym in range(table.nsyms):
+            d = table.target(c, sym)
+            if d == _UNDEF or table.target(d, sym ^ 1) != c:
+                raise InternalCheckError(f"coset {c} has an undefined or one-way edge")
+    # every edge is defined now, so the traces below never leave the table
+    for c in live:
+        for rel in relators:
+            end = c
+            for sym in rel:
+                end = table.target(end, sym)
+            if end != c:
+                raise InternalCheckError(f"a relator does not close at coset {c}")
+    for word in subgroup:
+        end = 0
+        for sym in word:
+            end = table.target(end, sym)
+        if end != 0:
+            raise InternalCheckError("a subgroup generator does not fix coset 0")
 
 
 def todd_coxeter(
@@ -99,29 +199,11 @@ def todd_coxeter(
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    ngens = presentation.ngens
-    relators = []
-    for i in range(ngens):
-        relators.append((2 * i, 2 * i + 1))
-        relators.append((2 * i + 1, 2 * i))
-    for rel in tuple(presentation.relators) + tuple(extra_relators):
-        relators.append(_symbols(free_reduce(tuple(rel))))
-    table = CosetTable(ngens, max_cosets)
-    start = table.add_coset()
-    for word in subgroup_generators:
-        table.unify(table.follow_word(start, _symbols(free_reduce(tuple(word)))), start)
-    # scan every live coset against every relator; repeat whole passes until
-    # a pass changes nothing, which certifies the table is closed
-    while True:
-        defined_before = len(table.labels)
-        live_before = table.live_count()
-        scan = 0
-        while scan < len(table.labels):
-            if table.find(scan) == scan:
-                for rel in relators:
-                    c = table.find(scan)
-                    table.unify(table.follow_word(c, rel), c)
-            scan += 1
-        if len(table.labels) == defined_before and table.live_count() == live_before:
-            break
-    return table.live_count()
+    relators = [
+        _symbols(free_reduce(tuple(rel)))
+        for rel in tuple(presentation.relators) + tuple(extra_relators)
+    ]
+    subgroup = [_symbols(free_reduce(tuple(word))) for word in subgroup_generators]
+    table = _enumerate(presentation.ngens, relators, subgroup, max_cosets)
+    _certify_closed(table, relators, subgroup)
+    return len(table.live())

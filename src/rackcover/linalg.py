@@ -5,9 +5,9 @@ all elimination runs in exact field arithmetic.  Both eliminators choose
 their pivot columns for sparsity, because the matrices arising from quantum
 symmetrizers and braided derivations are monomial-sparse:
 
-* `_eliminate` (behind `rank_kernel` and the support search) sees all rows
-  at once and pivots on the column with the fewest nonzeros among the
-  active rows;
+* `_eliminate` (behind `rank_kernel`, and the reduced basis the support
+  search starts from) sees all rows at once and pivots on the column with
+  the fewest nonzeros among the active rows;
 * `IncrementalSpan` (behind every graded component) sees one vector at a
   time and pivots on the residual column that the fewest stored pivot
   tails hold, so that later vectors meet the new pivot as seldom as
@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from .cyclotomic import CycScalar
 from .errors import BoundExceededError, InternalCheckError, NonSquareError
@@ -439,14 +438,16 @@ def smith_normal_form(matrix: list[list[int]], cols: int | None = None) -> SNFRe
 
 
 def _check_snf(matrix, result):
+    """U * M * V == D, as two exact integer products (U M) V."""
     nrows, ncols = result.shape
-    for i in range(nrows):
-        for j in range(ncols):
-            total = sum(
-                result.U[i][k] * matrix[k][m] * result.V[m][j]
-                for k in range(nrows)
-                for m in range(ncols)
-            )
+    um = [
+        [sum(u * matrix[k][j] for k, u in enumerate(u_row) if u) for j in range(ncols)]
+        for u_row in result.U
+    ]
+    v_cols = list(zip(*result.V))
+    for i, row in enumerate(um):
+        for j, col in enumerate(v_cols):
+            total = sum(a * b for a, b in zip(row, col))
             want = result.diag[i] if i == j and i < len(result.diag) else 0
             if total != want:
                 raise InternalCheckError("U*M*V != D in Smith normal form")
@@ -476,14 +477,11 @@ def support_minimal_vectors(
     Each returned support comes with its vector, which is unique up to a
     scalar; it is normalized so its first nonzero coordinate is 1.
 
-    Two exact strategies, chosen by dimension k of the span:
-    * small k: every minimal-support vector is cut out (up to scalar) by
-      some k-1 vanishing-coordinate constraints of full rank, so the
-      C(ambient, k-1) constraint subsets enumerate a candidate vector set
-      whose inclusion-minimal supports are exactly the answer;
-    * large k: breadth-first search over supports by size, pruning
-      supersets of found supports; minimal supports never exceed
-      ambient - k + 1 coordinates, which caps this search.
+    With k the dimension of the span, every minimal-support vector is cut
+    out (up to scalar) by some k-1 vanishing-coordinate constraints of full
+    rank.  So the C(ambient, k-1) constraint subsets give a candidate set
+    whose inclusion-minimal supports are exactly the answer; `max_subsets`
+    bounds that count.  `_minimal_by_constraint_cuts` walks the subsets.
     """
     if ambient > max_ambient:
         raise BoundExceededError(
@@ -500,76 +498,46 @@ def support_minimal_vectors(
     # whose row is e_i itself
     unit_coords = {col for col, row in pivots if len(row) == 1}
 
-    bfs_cost = _subset_count(ambient, ambient - dim + 1)
-    cut_cost = _choose(ambient, dim - 1)
-    if min(bfs_cost, cut_cost) > max_subsets:
+    cut_cost = comb(ambient, dim - 1)
+    if cut_cost > max_subsets:
         raise BoundExceededError(
-            f"support search needs {min(bfs_cost, cut_cost)} subsets, "
-            f"bound is {max_subsets}"
+            f"support search needs {cut_cost} subsets, bound is {max_subsets}"
         )
-    if cut_cost <= bfs_cost:
-        found = _minimal_by_constraint_cuts(basis, ambient, unit_coords)
-    else:
-        found = _minimal_by_size_search(basis, ambient, unit_coords, dim)
+    found = _minimal_by_constraint_cuts(basis, ambient, unit_coords)
     found.sort(key=lambda t: (len(t[0]), t[0]))
     return found, unit_coords
-
-
-def _choose(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def _subset_count(n: int, max_size: int) -> int:
-    return sum(_choose(n, s) for s in range(2, max_size + 1))
-
-
-def _minimal_by_size_search(basis, ambient, unit_coords, dim):
-    candidates = [i for i in range(ambient) if i not in unit_coords]
-    found: list[tuple[tuple[int, ...], Vector]] = []
-    max_size = min(len(candidates), ambient - dim + 1)
-    for size in range(2, max_size + 1):
-        for subset in combinations(candidates, size):
-            sset = set(subset)
-            if any(set(sup) <= sset for sup, _ in found):
-                continue
-            vec = _vector_supported_on(basis, sset)
-            if vec is None:
-                continue
-            if set(vec) != sset:
-                raise InternalCheckError(
-                    "support search produced a smaller support than tested"
-                )
-            found.append((subset, vec))
-    return found
 
 
 def _minimal_by_constraint_cuts(basis, ambient, unit_coords):
     """Candidate vectors from all (dim-1)-subsets of vanishing constraints
     whose cut is one-dimensional; inclusion-minimal candidate supports are
-    exactly the minimal supports."""
+    exactly the minimal supports.
+
+    The subsets are walked depth first in lexicographic order.  A node
+    holds a basis of its cut {v in span : v_i = 0 for i chosen}, as
+    ambient vectors, and a child's cut is one pivot step away (`_cut`).
+    A constraint that no basis vector holds depends on the earlier ones,
+    so every subset through it cuts out a space of dimension >= 2 and its
+    subtree is skipped.  A leaf's single vector is the candidate.
+    """
     dim = len(basis)
     candidates: dict[frozenset, Vector] = {}
-    for constraint in combinations(range(ambient), dim - 1):
-        entries = {}
-        for j, vec in enumerate(basis):
-            for r, coord in enumerate(constraint):
-                value = vec.get(coord)
-                if value is not None:
-                    entries[(r, j)] = value
-        matrix = ExactMatrix(dim - 1, dim, entries)
-        _, kernel = rank_kernel(matrix)
-        if len(kernel) != 1:
-            continue
-        out = _combination(basis, kernel[0])
-        support = frozenset(out)
-        if len(support) < 2 or support & unit_coords or support in candidates:
-            continue
-        candidates[support] = _normalized(out)
+
+    def walk(cut, chosen, start):
+        if len(chosen) == dim - 1:
+            (vec,) = cut
+            if any(i in vec for i in chosen):
+                raise InternalCheckError("cut vector does not vanish on its constraints")
+            support = frozenset(vec)
+            if len(support) >= 2 and not support & unit_coords and support not in candidates:
+                candidates[support] = _normalized(vec)
+            return
+        # leave room for the constraints still to be chosen after i
+        for i in range(start, ambient - dim + 2 + len(chosen)):
+            if any(i in vec for vec in cut):
+                walk(_cut(cut, i), chosen + (i,), i + 1)
+
+    walk(basis, (), 0)
     supports = list(candidates)
     minimal = [
         s for s in supports if not any(t < s for t in supports if t != s)
@@ -577,26 +545,22 @@ def _minimal_by_constraint_cuts(basis, ambient, unit_coords):
     return [(tuple(sorted(s)), candidates[s]) for s in minimal]
 
 
-def _vector_supported_on(basis: list[Vector], support: set[int]) -> Vector | None:
-    """A nonzero vector of span(basis) supported inside `support`, or None.
-
-    When one exists and the support is inclusion-minimal, the solution
-    space is one-dimensional.
-    """
-    entries = {}
-    outside_rows: dict[int, int] = {}
-    for j, vec in enumerate(basis):
-        for coord, value in vec.items():
-            if coord in support:
-                continue
-            r = outside_rows.setdefault(coord, len(outside_rows))
-            entries[(r, j)] = value
-    constraint = ExactMatrix(len(outside_rows), len(basis), entries)
-    _, kernel = rank_kernel(constraint)
-    if not kernel:
-        return None
-    out = _combination(basis, kernel[0])
-    return _normalized(out) if out else None
+def _cut(vectors: list[Vector], coord: int) -> list[Vector]:
+    """A basis of {v in span(vectors) : v[coord] = 0}, given a basis
+    `vectors` of which at least one holds `coord`: the vectors without
+    `coord`, and the other holders with `coord` eliminated against the
+    sparsest holder, which drops out."""
+    out = [vec for vec in vectors if coord not in vec]
+    holders = [vec for vec in vectors if coord in vec]
+    pivot = min(holders, key=len)
+    neg_inv = -inverse(pivot[coord])
+    neg_tail = {c: v * neg_inv for c, v in pivot.items() if c != coord}
+    for vec in holders:
+        if vec is not pivot:
+            vec = dict(vec)
+            axpy(vec, vec.pop(coord), neg_tail)
+            out.append(vec)
+    return out
 
 
 def _combination(basis, weights: Vector) -> Vector:

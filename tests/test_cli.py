@@ -148,6 +148,16 @@ def test_group_tc(capsys):
     assert result["index"] == 6
 
 
+def test_group_tc_transpositions_6(capsys):
+    # S_6: the follow-and-define enumerator this replaced ran out of its
+    # default 100000 cosets here
+    result = run_json(
+        capsys,
+        "group", "tc", "--builtin", "transpositions:6", "--extra-relator", "x1 x1",
+    )
+    assert result["index"] == 720
+
+
 def test_group_tc_limit_exit_code(capsys):
     code, _, err = run(
         capsys,

@@ -1,5 +1,6 @@
 import pytest
 
+from rackcover import coset
 from rackcover.coset import todd_coxeter
 from rackcover.envgroup import (
     abelianization,
@@ -11,6 +12,7 @@ from rackcover.envgroup import (
 )
 from rackcover.errors import (
     CosetLimitError,
+    InternalCheckError,
     NotSurjectiveError,
     RelatorFailsError,
     ValidationError,
@@ -26,6 +28,7 @@ from rackcover.racks import (
     tetrahedron_rack,
     transpositions_rack,
 )
+from tests.oracle_coset import reference_todd_coxeter
 
 
 def s3_group():
@@ -210,6 +213,73 @@ def test_tc_tetrahedron_finite_quotient():
     pres = enveloping_presentation(tetrahedron_rack())
     order = todd_coxeter(pres, extra_relators=((1, 1, 1),), max_cosets=20000)
     assert order % 12 == 0
+
+
+# the connected catalog racks up to 5 elements (dihedral:3 and affine:3,2 are
+# transpositions:3): the quotients of their enveloping groups by x1^k close
+# in the reference enumerator for k = 2..6; the other small racks' do not
+_SMALL_CONNECTED = [
+    "transpositions:3", "tetrahedron", "dihedral:5", "affine:5,2", "affine:5,3",
+    "affine:5,4", "abelian:1",
+]
+
+
+@pytest.mark.parametrize("name", _SMALL_CONNECTED)
+def test_tc_matches_reference_enumerator(name):
+    pres = enveloping_presentation(catalog(name))
+    for k in range(2, 7):
+        extra = ((1,) * k,)
+        assert todd_coxeter(pres, extra_relators=extra) == (
+            reference_todd_coxeter(pres, extra_relators=extra)
+        )
+
+
+def test_tc_subgroup_index_matches_reference_enumerator():
+    cases = [
+        ("transpositions:3", ((1, 1),), ((1,),)),
+        ("tetrahedron", ((1, 1, 1),), ((1,),)),
+        ("tetrahedron", ((1, 1, 1),), ((1, 2),)),
+        ("affine:5,2", ((1, 1, 1, 1),), ((1,), (2, -3))),
+        ("dihedral:5", ((1, 1),), ((1, 2, 1),)),
+        ("transpositions:4", ((1, 1),), ((1,), (2,))),
+    ]
+    for name, extra, subgroup in cases:
+        pres = enveloping_presentation(catalog(name))
+        index = todd_coxeter(pres, extra_relators=extra, subgroup_generators=subgroup)
+        assert index == reference_todd_coxeter(
+            pres, extra_relators=extra, subgroup_generators=subgroup
+        )
+
+
+def test_tc_closure_certificate_trips_on_tampered_tables(monkeypatch):
+    # Z/5 = <x | x^5>: one generator, symbols 0 (x) and 1 (x^-1)
+    relators = [(0,) * 5]
+    table = coset._enumerate(1, relators, [], 100)
+    coset._certify_closed(table, relators, [])
+    with pytest.raises(InternalCheckError, match="relator"):
+        coset._certify_closed(table, relators + [(0, 0)], [])
+    with pytest.raises(InternalCheckError, match="subgroup"):
+        coset._certify_closed(table, relators, [(0,)])
+    table.neighbors[0][0] = coset._UNDEF
+    with pytest.raises(InternalCheckError, match="edge"):
+        coset._certify_closed(table, relators, [])
+    # a tampered table out of the enumeration is refused by todd_coxeter
+    monkeypatch.setattr(coset, "_enumerate", lambda *args: table)
+    with pytest.raises(InternalCheckError):
+        todd_coxeter(Presentation.make(1, [(1,) * 5]))
+
+
+def test_tc_one_way_edge_trips_certificate():
+    # Z/2 x Z/2 = <x, y | x y x^-1 y^-1, x^2, y^2>: x is symbol 0, y is 2
+    relators = [(0, 2, 1, 3), (0, 0), (2, 2)]
+    table = coset._enumerate(2, relators, [], 100)
+    coset._certify_closed(table, relators, [])
+    # point x at coset 0 to another coset, leaving the inverse edges alone
+    table.neighbors[0][0] = next(
+        d for d in table.live() if d not in (0, table.target(0, 0))
+    )
+    with pytest.raises(InternalCheckError, match="one-way"):
+        coset._certify_closed(table, relators, [])
 
 
 # --- covering lattice -------------------------------------------------------------

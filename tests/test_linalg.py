@@ -20,7 +20,9 @@ from rackcover.linalg import (
     smith_normal_form,
     support_minimal_vectors,
 )
+from rackcover import linalg
 from rackcover.linalg import _eliminate
+from tests.oracle_support import reference_support_minimal_vectors
 
 
 def orbit_matrix(m, lam):
@@ -217,6 +219,25 @@ def test_snf_randomized_vs_sympy():
             assert res.diag[i] % res.diag[i - 1] == 0
 
 
+def test_snf_check_trips_on_any_wrong_entry():
+    # U*M*V = D is checked entry for entry: changing one entry of U, V or
+    # the diagonal at any position is caught
+    mat = [[2, 4, 4], [-6, 6, 12], [10, -4, -16], [1, 0, 3]]
+    res = smith_normal_form(mat)
+    for which in ("U", "V"):
+        table = getattr(res, which)
+        for i, row in enumerate(table):
+            for j in range(len(row)):
+                row[j] += 1
+                with pytest.raises(InternalCheckError):
+                    linalg._check_snf(mat, res)
+                row[j] -= 1
+    linalg._check_snf(mat, res)
+    res.diag = res.diag[:-1] + (res.diag[-1] + 1,)
+    with pytest.raises(InternalCheckError):
+        linalg._check_snf(mat, res)
+
+
 # --- support-minimal vectors ------------------------------------------------
 
 
@@ -302,8 +323,8 @@ def test_support_minimal_ambient_bound():
 def test_support_minimal_vs_brute_force():
     rng = random.Random(17)
     for _ in range(60):
-        ambient = rng.randint(2, 6)
-        dim = rng.randint(0, 3)
+        ambient = rng.randint(2, 8)
+        dim = rng.randint(0, 4)
         vectors = []
         for _ in range(dim):
             vec = [rng.randint(-2, 2) if rng.random() < 0.6 else 0 for _ in range(ambient)]
@@ -316,6 +337,62 @@ def test_support_minimal_vs_brute_force():
         # representatives live in the span and have the right support
         for sup, rep in found:
             assert tuple(sorted(rep)) == sup
+
+
+def random_rref_basis(rng, ambient, dim, order):
+    """Rows of a random reduced echelon matrix: pivot entries 1, and the
+    non-pivot columns filled sparsely with small multiples of roots of
+    unity of `order`, sometimes summed to non-monomial scalars."""
+    zeta = root_of_unity(order) if order > 1 else CycScalar.one()
+    pivots = sorted(rng.sample(range(ambient), dim))
+    rows = []
+    for r, p in enumerate(pivots):
+        row = {p: CycScalar.one(order)}
+        for c in range(p + 1, ambient):
+            if c in pivots or rng.random() < 0.45:
+                continue
+            value = rng.choice((1, -1, 2)) * zeta ** rng.randrange(max(order, 1))
+            if rng.random() < 0.3:
+                value = value + zeta ** rng.randrange(max(order, 1))
+            if value:
+                row[c] = value
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_support_minimal_matches_reference_cuts(order):
+    # the depth-first cut walk against one rank_kernel per constraint set
+    rng = random.Random(100 + order)
+    for _ in range(6):
+        dim = rng.randint(1, 6)
+        ambient = rng.randint(dim, 14)
+        basis = random_rref_basis(rng, ambient, dim, order)
+        assert support_minimal_vectors(basis, ambient) == (
+            reference_support_minimal_vectors(basis, ambient)
+        )
+
+
+def test_support_minimal_cut_vector_check(monkeypatch):
+    # a pivot step that drops a holder without eliminating the constraint
+    # from the others leaves a leaf vector that does not vanish on it
+    def skip_elimination(vectors, coord):
+        holder = next(vec for vec in vectors if coord in vec)
+        return [vec for vec in vectors if vec is not holder]
+
+    monkeypatch.setattr(linalg, "_cut", skip_elimination)
+    vectors = [as_vec([1, 0, 1, 1]), as_vec([0, 1, 1, 2])]
+    with pytest.raises(InternalCheckError, match="vanish"):
+        support_minimal_vectors(vectors, 4)
+
+
+def test_support_minimal_subset_bound():
+    # dim 3 in ambient 8 cuts with C(8, 2) = 28 constraint sets
+    vectors = [as_vec([1, 0, 0, 1, 1, 0, 1, 0]), as_vec([0, 1, 0, 1, 0, 1, 1, 1]),
+               as_vec([0, 0, 1, 0, 1, 1, 1, 2])]
+    with pytest.raises(BoundExceededError, match="28 subsets"):
+        support_minimal_vectors(vectors, 8, max_subsets=27)
+    support_minimal_vectors(vectors, 8, max_subsets=28)
 
 
 # --- incremental span -------------------------------------------------------

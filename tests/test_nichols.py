@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rackcover.braiding import BraidedSpace, Cocycle, chi_cocycle, quadratic_analysis
 from rackcover.cyclotomic import CycScalar, root_of_unity
 from rackcover.errors import BoundExceededError, InternalCheckError
+from rackcover import nichols
 from rackcover.linalg import IncrementalSpan
 from rackcover.nichols import (
     GradedBasis,
@@ -44,6 +45,7 @@ from tests.oracle_shuffle import (
     matsumoto_lift,
     shuffle_perms,
 )
+from tests.oracle_support import reference_support_minimal_vectors
 
 
 def space_const_minus_one(rack):
@@ -565,6 +567,16 @@ def test_minimal_elements_diagonal_kernel_gives_none():
     # there, so no minimal elements arise from those blocks
     space = space_const_minus_one(abelian_rack(1))
     assert minimal_elements(space, 2) == []
+
+
+@pytest.mark.parametrize("rack", ["tetrahedron", "transpositions:4"])
+def test_minimal_elements_match_reference_support_search(rack, monkeypatch):
+    space = space_const_minus_one(catalog(rack))
+    walked = minimal_elements(space, 3)
+    monkeypatch.setattr(nichols, "support_minimal_vectors",
+                        reference_support_minimal_vectors)
+    assert walked == minimal_elements(space, 3)
+    assert walked
 
 
 def test_word_blocks_partition():

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from rackcover.bosonization import (
     YDDatum,
+    _compile,
     build_slice,
     covering_map_check,
     datum_from_generators,
@@ -20,7 +23,9 @@ from rackcover.groups import FiniteGroup
 from rackcover.nichols import GradedBasis
 from rackcover.racks import transpositions_rack
 from rackcover.racks import transposition_elements
+from tests.oracle_hopf import oracle_verify_hopf
 from tests.oracle_shuffle import shuffle_slice
+from tests.test_cli import c12_mixed_order_datum
 
 
 def s3_chi_datum():
@@ -176,25 +181,92 @@ def test_taft_relations_hold():
 
 E = (1, 0, 0)
 
+# the Taft slice's constants lie in Q(zeta_3), so it is verified over
+# CycScalars; every S_3 chi constant is rational, so it is verified over
+# ints.  x0 x0 = 0 in the chi slice, so its degree-1 product is x0 x1.
+TAMPERED_SLICES = {
+    "taft": (lambda: rank_one_datum(group_order=3, q_order=3), E),
+    "s3-chi": (s3_chi_datum, (1, 1, 0)),
+}
 
-@pytest.mark.parametrize("table, key, axiom", [
-    ("product", (E, (0, 0, 1)), None),
-    # associativity is the first axiom to read E * E
-    ("product", (E, E), "associativity"),
-    ("coproduct", E, None),
-    ("antipode", E, None),
-], ids=["product", "product-degree-1", "coproduct", "antipode"])
-def test_verify_hopf_detects_a_changed_structure_constant(table, key, axiom):
-    # sparse elements are compared with ==, so one changed coefficient
-    # anywhere must make some axiom fail
-    datum = rank_one_datum(group_order=3, q_order=3)
-    slice_ = build_slice(datum, 2)
+
+def _tamper_cases():
+    cases = []
+    for name, (_, second) in TAMPERED_SLICES.items():
+        prefix = "" if name == "taft" else f"{name}-"
+        cases += [
+            pytest.param(name, "product", (E, (0, 0, 1)), "associativity",
+                         id=f"{prefix}product"),
+            # associativity is the first axiom to read a degree-1 product
+            pytest.param(name, "product", (E, second), "associativity",
+                         id=f"{prefix}product-degree-1"),
+            pytest.param(name, "coproduct", E, "counit", id=f"{prefix}coproduct"),
+            pytest.param(name, "antipode", E, "antipode", id=f"{prefix}antipode"),
+        ]
+    return cases
+
+
+def _tampered_slice(name, table, key, change):
+    """The cutoff-2 slice with the entry at `key` of one structure table
+    replaced by change(entry)."""
+    build, _ = TAMPERED_SLICES[name]
+    slice_ = build_slice(build(), 2)
     structure = getattr(slice_, table)
-    structure[key] = {k: v * 2 for k, v in structure[key].items()}
+    structure[key] = change(structure[key])
+    return slice_
+
+
+@pytest.mark.parametrize("name, table, key, axiom", _tamper_cases())
+def test_verify_hopf_detects_a_changed_structure_constant(name, table, key, axiom):
+    # sparse elements are compared exactly, so one changed coefficient
+    # anywhere must make some axiom fail
+    slice_ = _tampered_slice(
+        name, table, key, lambda entry: {k: v * 2 for k, v in entry.items()})
     with pytest.raises(AxiomFailsError) as exc:
         verify_hopf(slice_)
-    if axiom is not None:
-        assert exc.value.axiom == axiom
+    assert exc.value.axiom == axiom
+
+
+@pytest.mark.parametrize("name, table, key, axiom", _tamper_cases())
+def test_verify_hopf_detects_a_constant_scaled_by_one_half(name, table, key, axiom):
+    # on the rational slice the tables then hold a Fraction among the ints
+    slice_ = _tampered_slice(
+        name, table, key, lambda entry: {k: v * Fraction(1, 2) for k, v in entry.items()})
+    with pytest.raises(AxiomFailsError) as exc:
+        verify_hopf(slice_)
+    assert exc.value.axiom == axiom
+
+
+@pytest.mark.parametrize("name, table, key, axiom",
+                         [case for case in _tamper_cases() if case.values[0] == "s3-chi"])
+def test_verify_hopf_detects_an_irrational_constant_in_a_rational_slice(
+    name, table, key, axiom
+):
+    # one constant set to zeta_3 moves the whole check onto CycScalars
+    def change(entry):
+        first = next(iter(entry))
+        return {**entry, first: root_of_unity(3)}
+
+    slice_ = _tampered_slice(name, table, key, change)
+    assert isinstance(_compile(slice_).one, CycScalar)
+    with pytest.raises(AxiomFailsError) as exc:
+        verify_hopf(slice_)
+    assert exc.value.axiom == axiom
+
+
+def test_compiled_tables_take_their_field_from_the_constants():
+    rational = _compile(build_slice(s3_chi_datum(), 2))
+    assert rational.one == 1 and type(rational.one) is int
+    assert all(type(c) is int for row in rational.antipode for _, c in row)
+    # zeta_3 in the Taft constants keeps the stored CycScalars
+    taft = _compile(build_slice(rank_one_datum(group_order=3, q_order=3), 2))
+    assert isinstance(taft.one, CycScalar)
+    assert all(isinstance(c, CycScalar) for row in taft.antipode for _, c in row)
+    halved = _tampered_slice(
+        "s3-chi", "antipode", E, lambda entry: {k: v * Fraction(1, 2) for k, v in entry.items()})
+    tables = _compile(halved)
+    assert [type(c) for _, c in tables.antipode[halved.index[E]]] == [Fraction]
+    assert tables.one == 1
 
 
 def test_s3_chi_slice_at_cutoff_4_checks_every_instance():
@@ -236,6 +308,41 @@ def test_slice_matches_shuffle_oracle(name):
     for table in ("product", "coproduct", "antipode"):
         assert getattr(slice_, table) == getattr(oracle, table), table
         assert _exact(getattr(slice_, table)) == _exact(getattr(oracle, table)), table
+
+
+# the reference verifier keyed by basis tuples, on the stored CycScalars
+REFERENCE_VERIFIER_DATA = {
+    **SHUFFLE_ORACLE_DATA,
+    "s3-chi-cutoff-4": (s3_chi_datum, 4),
+    "c12-mixed-orders": (c12_mixed_order_datum, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_VERIFIER_DATA))
+def test_verify_hopf_matches_the_reference_verifier(name):
+    build, cutoff = REFERENCE_VERIFIER_DATA[name]
+    slice_ = build_slice(build(), cutoff)
+    assert verify_hopf(slice_) == oracle_verify_hopf(slice_)
+
+
+@pytest.mark.parametrize("group_order", [2, 3], ids=["sweedler", "taft"])
+@pytest.mark.parametrize("table", ["product", "coproduct", "antipode"])
+def test_verify_hopf_fails_like_the_reference_verifier(group_order, table):
+    # every nonzero entry of the table scaled by 2 in turn: both verifiers
+    # name the same axiom and witness
+    datum = rank_one_datum(group_order=group_order, q_order=group_order)
+    keys = [key for key, entry in getattr(build_slice(datum, 2), table).items() if entry]
+    assert keys
+    for key in keys:
+        failures = []
+        for verify in (verify_hopf, oracle_verify_hopf):
+            slice_ = build_slice(datum, 2)
+            structure = getattr(slice_, table)
+            structure[key] = {k: v * 2 for k, v in structure[key].items()}
+            with pytest.raises(AxiomFailsError) as exc:
+                verify(slice_)
+            failures.append((exc.value.axiom, exc.value.witness))
+        assert failures[0] == failures[1], key
 
 
 def test_sweedler_antipode_values():

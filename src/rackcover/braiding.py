@@ -25,23 +25,42 @@ from .linalg import ExactMatrix, add_terms, determinant, rank_kernel
 from .racks import Rack, transposition_elements, transpositions_rack
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Cocycle:
-    """q: X x X -> roots of unity, stored as exponents over one order N."""
+    """q: X x X -> roots of unity, stored as exponents over one order N.
+
+    The order and the exponents must be ints (a bool is not taken for
+    one); the exponents are stored reduced mod N."""
 
     rack: Rack
     order: int
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
-            raise ValidationError(f"cocycle order N = {self.order!r} is not positive")
+        if not _is_int(self.order) or self.order < 1:
+            raise ValidationError(
+                f"cocycle order N = {self.order!r} is not a positive integer"
+            )
         n = self.rack.n
         if len(self.exponents) != n or any(len(r) != n for r in self.exponents):
             raise ValidationError("cocycle exponent table has wrong shape")
+        for x, row in enumerate(self.exponents):
+            for y, e in enumerate(row):
+                if not _is_int(e):
+                    raise ValidationError(
+                        f"cocycle exponent {e!r} at ({x}, {y}) is not an integer"
+                    )
+        # stored reduced mod N, so equal cocycles have equal tables
+        object.__setattr__(self, "exponents", tuple(
+            tuple(e % self.order for e in row) for row in self.exponents
+        ))
 
     def exponent(self, x: int, y: int) -> int:
-        return self.exponents[x][y] % self.order
+        return self.exponents[x][y]
 
     def value(self, x: int, y: int) -> CycScalar:
         return CycScalar.root_of_unity(self.order, self.exponents[x][y])
@@ -49,20 +68,21 @@ class Cocycle:
     @classmethod
     def constant(cls, rack: Rack, order: int, k: int = 1) -> "Cocycle":
         """The constant cocycle q == zeta_order^k (always a valid cocycle)."""
-        n = rack.n
-        exp = tuple(tuple(k % order for _ in range(n)) for _ in range(n))
-        return cls(rack, order, exp)
+        return cls(rack, order, ((k,) * rack.n,) * rack.n)
 
     @classmethod
     def constant_minus_one(cls, rack: Rack) -> "Cocycle":
         return cls.constant(rack, 2, 1)
 
     @classmethod
-    def from_json(cls, rack: Rack, data: dict) -> "Cocycle":
+    def read_json(cls, rack: Rack, data: dict) -> "Cocycle":
+        """The cocycle a JSON object describes, without the braid check."""
         with malformed("cocycle"):
-            order = data["N"]
-            exp = tuple(tuple(v % order for v in row) for row in data["exp"])
-        cocycle = cls(rack, order, exp)
+            return cls(rack, data["N"], tuple(tuple(row) for row in data["exp"]))
+
+    @classmethod
+    def from_json(cls, rack: Rack, data: dict) -> "Cocycle":
+        cocycle = cls.read_json(rack, data)
         ok, witness = braid_check(rack, cocycle)
         if not ok:
             raise ValidationError(f"cocycle fails the braid equation at {witness}")
@@ -121,30 +141,36 @@ class BraidedSpace:
 def braid_check(rack: Rack, cocycle: Cocycle) -> tuple[bool, tuple | None]:
     """Verify (c(x)1)(1(x)c)(c(x)1) = (1(x)c)(c(x)1)(1(x)c) on basis triples.
 
-    Returns (True, None) or (False, witness_triple).  Scalars are compared
-    as exponents mod the cocycle order; words as index triples.
+    Returns (True, None) or (False, witness_triple), the witness being the
+    first failing (x, y, z) in lexicographic order.  Both sides send
+    v_x (x) v_y (x) v_z to a multiple of a word ending in (x|>y, x): the
+    left side to ((x|>y)|>(x|>z), x|>y, x) with exponent
+    q(x,y) + q(x,z) + q(x|>y, x|>z), the right side to
+    (x|>(y|>z), x|>y, x) with exponent q(y,z) + q(x, y|>z) + q(x,y).  So
+    the equation holds at (x, y, z) exactly when
+
+        (x|>y)|>(x|>z) = x|>(y|>z)  and
+        q(x,z) + q(x|>y, x|>z) = q(y,z) + q(x, y|>z)  (mod N),
+
+    which is checked for all z at once, one (x, y) row at a time.
     """
-    n = rack.n
     N = cocycle.order
-    op = rack.op
+    table = rack.table
     exp = cocycle.exponents
-
-    def c12(word, e):
-        x, y, z = word
-        return (op(x, y), x, z), e + exp[x][y]
-
-    def c23(word, e):
-        x, y, z = word
-        return (x, op(y, z), y), e + exp[y][z]
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                w = (x, y, z)
-                lhs, el = c12(*c23(*c12(w, 0)))
-                rhs, er = c23(*c12(*c23(w, 0)))
-                if lhs != rhs or (el - er) % N != 0:
-                    return False, w
+    for x, (row_x, exp_x) in enumerate(zip(table, exp)):
+        for y, (row_y, exp_y) in enumerate(zip(table, exp)):
+            xy = row_x[y]
+            row_xy, exp_xy = table[xy], exp[xy]
+            words_l = [row_xy[xz] for xz in row_x]
+            words_r = [row_x[yz] for yz in row_y]
+            exps_l = [(e + exp_xy[xz]) % N for xz, e in zip(row_x, exp_x)]
+            exps_r = [(e + exp_x[yz]) % N for yz, e in zip(row_y, exp_y)]
+            if words_l != words_r or exps_l != exps_r:
+                z = next(
+                    z for z in range(rack.n)
+                    if words_l[z] != words_r[z] or exps_l[z] != exps_r[z]
+                )
+                return False, (x, y, z)
     return True, None
 
 

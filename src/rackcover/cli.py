@@ -41,7 +41,6 @@ from .errors import (
     InternalCheckError,
     RackcoverError,
     ValidationError,
-    malformed,
 )
 from .groups import load_group_json
 from .nichols import covering_relators, hilbert_series, minimal_elements
@@ -199,13 +198,9 @@ def cmd_rack_info(args):
 def cmd_braid_check(args):
     rack = _resolve_rack(args)
     if args.cocycle.startswith("file:"):
-        # load without the constructor's validation so a broken cocycle can
-        # be reported with its witness rather than rejected up front
-        data = _load_json(args.cocycle[len("file:"):])
-        with malformed("cocycle"):
-            N = data["N"]
-            exp = tuple(tuple(v % N for v in row) for row in data["exp"])
-        cocycle = Cocycle(rack, N, exp)
+        # load without from_json's braid check so a broken cocycle can be
+        # reported with its witness rather than rejected up front
+        cocycle = Cocycle.read_json(rack, _load_json(args.cocycle[len("file:"):]))
     else:
         cocycle = _resolve_cocycle(rack, args.cocycle)
     ok, witness = braid_check(rack, cocycle)

@@ -19,7 +19,10 @@ key -> scalar that never store a zero.  Only the kernel adds into them:
 So two vectors are equal exactly when their dicts compare equal with `==`
 (scalars of different orders compare by value).  The kernel,
 `_combination` and `IncrementalSpan` take any exact scalars: `CycScalar`s,
-or Python ints and Fractions when the field is Q.
+or Python ints and Fractions when the field is Q.  `support_minimal_vectors`
+chooses its field from its input: spanning vectors whose entries are all
+rational and stored at one order are searched over ints and Fractions,
+and the vectors found are stored back at that order.
 
 Ranks reported by this module always come from exact elimination; modular
 shortcuts are deliberately not used.
@@ -60,9 +63,12 @@ def axpy(target: dict, coeff, source: dict) -> None:
 
 def inverse(value):
     """1 / value, exactly: `CycScalar.inverse` for a CycScalar; for a
-    Python number an int when the quotient is integral, else a Fraction."""
+    Python number an int when the quotient is integral, else a Fraction.
+    An int 1 or -1 is its own inverse and comes back unchanged."""
     if isinstance(value, CycScalar):
         return value.inverse()
+    if type(value) is int and (value == 1 or value == -1):
+        return value
     inv = Fraction(1, value)
     return inv.numerator if inv.denominator == 1 else inv
 
@@ -148,7 +154,7 @@ def _eliminate(rows: list[Vector]) -> list[tuple[int, Vector]]:
             key=lambda i: (len(active[i]), i),
         )
         pivot = active.pop(best_i)
-        inv = pivot[col].inverse()
+        inv = inverse(pivot[col])
         pivot = {c: v * inv for c, v in pivot.items()}
         # clear `col` from the active rows and, back-substituting, from the
         # earlier pivot rows: row -= row[col] * pivot, which drops row[col]
@@ -482,11 +488,23 @@ def support_minimal_vectors(
     rank.  So the C(ambient, k-1) constraint subsets give a candidate set
     whose inclusion-minimal supports are exactly the answer; `max_subsets`
     bounds that count.  `_minimal_by_constraint_cuts` walks the subsets.
+
+    The field is chosen from the values: when every entry is a rational
+    `CycScalar` and all are stored at one order M, the search runs on
+    Python ints (Fractions where a value is not integral) and the vectors
+    it returns are stored back at order M.  That is exact, because Q is a
+    subfield of Q(zeta_M): the elimination, the cuts and the normalization
+    of rational vectors only ever add, multiply and divide rationals, so
+    the same steps over Q(zeta_M) give the same values, held at order M.
+    Any other input is searched as given.
     """
     if ambient > max_ambient:
         raise BoundExceededError(
             f"ambient dimension {ambient} exceeds bound {max_ambient}"
         )
+    rational = _over_rationals(spanning)
+    if rational is not None:
+        order, spanning = rational
     pivots = _eliminate(spanning)
     basis = [row for _, row in pivots]
     dim = len(basis)
@@ -505,7 +523,29 @@ def support_minimal_vectors(
         )
     found = _minimal_by_constraint_cuts(basis, ambient, unit_coords)
     found.sort(key=lambda t: (len(t[0]), t[0]))
+    if rational is not None:
+        found = [
+            (support, {c: CycScalar.rational(v, order) for c, v in vec.items()})
+            for support, vec in found
+        ]
     return found, unit_coords
+
+
+def _over_rationals(vectors: list[Vector]):
+    """(M, the vectors with Python-number entries) when every entry is a
+    rational CycScalar stored at the one order M, else None."""
+    orders = set()
+    rows = []
+    for vec in vectors:
+        row = {}
+        for c, v in vec.items():
+            value = v.as_rational() if isinstance(v, CycScalar) else None
+            if value is None:
+                return None
+            orders.add(v.order)
+            row[c] = value.numerator if value.denominator == 1 else value
+        rows.append(row)
+    return (orders.pop(), rows) if len(orders) == 1 else None
 
 
 def _minimal_by_constraint_cuts(basis, ambient, unit_coords):
@@ -573,5 +613,5 @@ def _combination(basis, weights: Vector) -> Vector:
 
 def _normalized(vector: Vector) -> Vector:
     """The nonzero vector scaled so its first coordinate is 1, keys sorted."""
-    inv = vector[min(vector)].inverse()
+    inv = inverse(vector[min(vector)])
     return {c: v * inv for c, v in sorted(vector.items())}

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rackcover.braiding import (
@@ -13,13 +15,15 @@ from rackcover.braiding import (
     quadratic_analysis,
 )
 from rackcover.cyclotomic import CycScalar, root_of_unity
-from rackcover.errors import ValidationError
+from rackcover.errors import RackAxiomError, ValidationError
 from rackcover.linalg import ExactMatrix
 from rackcover.racks import (
+    Rack,
     abelian_rack,
     affine_rack,
     catalog,
     dihedral_rack,
+    rack_verify,
     reflections_d4_rack,
     tetrahedron_rack,
     transpositions_rack,
@@ -121,6 +125,78 @@ def test_flipped_entry_fails_with_witness():
         BraidedSpace(rack, bad)
 
 
+def reference_braid_check(rack, cocycle):
+    """The braid equation walked triple by triple: both sides applied as
+    braiding steps on the word, exponents summed and compared mod N."""
+    n = rack.n
+    N = cocycle.order
+    op = rack.op
+    exp = cocycle.exponents
+
+    def c12(word, e):
+        x, y, z = word
+        return (op(x, y), x, z), e + exp[x][y]
+
+    def c23(word, e):
+        x, y, z = word
+        return (x, op(y, z), y), e + exp[y][z]
+
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                w = (x, y, z)
+                lhs, el = c12(*c23(*c12(w, 0)))
+                rhs, er = c23(*c12(*c23(w, 0)))
+                if lhs != rhs or (el - er) % N != 0:
+                    return False, w
+    return True, None
+
+
+def differential_cocycles(rng, rack):
+    """Cocycles of orders 1-6 on `rack`: constant ones (which satisfy the
+    braid equation), random ones, and constant ones with one entry moved,
+    whose first failure can lie deep in the triple walk."""
+    n = rack.n
+    for order in range(1, 7):
+        k = rng.randrange(order)
+        yield Cocycle.constant(rack, order, k)
+        yield Cocycle(rack, order, tuple(
+            tuple(rng.randrange(order) for _ in range(n)) for _ in range(n)
+        ))
+        exp = [[k] * n for _ in range(n)]
+        exp[rng.randrange(n)][rng.randrange(n)] = rng.randrange(order)
+        yield Cocycle(rack, order, tuple(map(tuple, exp)))
+
+
+@pytest.mark.parametrize("spec", [
+    "transpositions:3", "transpositions:4", "four_cycles_S4", "tetrahedron",
+    "dihedral:5", "affine:5,2", "reflections_D4", "abelian:3",
+])
+def test_braid_check_matches_triple_walk(spec):
+    rng = random.Random(spec)
+    rack = catalog(spec)
+    cocycles = list(differential_cocycles(rng, rack))
+    if spec.startswith("transpositions"):
+        cocycles.append(chi_cocycle(int(spec.rpartition(":")[2])))
+    for cocycle in cocycles:
+        assert braid_check(rack, cocycle) == reference_braid_check(rack, cocycle)
+
+
+def test_braid_check_matches_triple_walk_off_self_distributive_tables():
+    # tables whose rows are permutations but which are not self-distributive,
+    # so the words of the two sides differ somewhere
+    rng = random.Random(41)
+    for n in (3, 4, 5):
+        for _ in range(4):
+            table = tuple(tuple(rng.sample(range(n), n)) for _ in range(n))
+            with pytest.raises(RackAxiomError):
+                rack_verify(table)
+            rack = Rack(table)
+            assert not reference_braid_check(rack, Cocycle.constant(rack, 1, 0))[0]
+            for cocycle in differential_cocycles(rng, rack):
+                assert braid_check(rack, cocycle) == reference_braid_check(rack, cocycle)
+
+
 def test_from_json_validates():
     rack = transpositions_rack(3)
     good = Cocycle.from_json(rack, {"N": 2, "exp": [[1] * 3] * 3})
@@ -128,6 +204,26 @@ def test_from_json_validates():
     bad_exp = [[1] * 3, [1] * 3, [1, 1, 0]]
     with pytest.raises(ValidationError):
         Cocycle.from_json(rack, {"N": 2, "exp": bad_exp})
+
+
+@pytest.mark.parametrize("order,value", [
+    (2, 1.5), (2, 1.0), (2, True), (2, "1"), (True, 0), (2.0, 1), (0, 1),
+])
+def test_cocycle_rejects_non_integer_order_or_exponent(order, value):
+    rack = transpositions_rack(3)
+    exp = ((1, 1, 1), (1, value, 1), (1, 1, 1))
+    with pytest.raises(ValidationError, match="integer"):
+        Cocycle(rack, order, exp)
+    with pytest.raises(ValidationError, match="integer"):
+        Cocycle.read_json(rack, {"N": order, "exp": [list(r) for r in exp]})
+
+
+def test_cocycle_exponents_are_stored_reduced():
+    rack = abelian_rack(2)
+    cocycle = Cocycle(rack, 3, ((4, -1), (3, 2)))
+    assert cocycle.exponents == ((1, 2), (0, 2))
+    assert cocycle == Cocycle(rack, 3, ((1, 2), (0, 2)))
+    assert cocycle.value(0, 1) == root_of_unity(3) ** 2
 
 
 # --- orbits and census -------------------------------------------------------

@@ -312,6 +312,24 @@ MALFORMED = [
      ["braid", "check", "--builtin", "transpositions:3", "--cocycle", "file:"]),
     ("cocycle-negative-order", {"N": -2, "exp": [[1] * 3] * 3},
      ["braid", "census", "--builtin", "transpositions:3", "--cocycle", "file:"]),
+    # exponents and orders must be ints: a float, even an integral one,
+    # or a bool is rejected by every command that reads the cocycle
+    ("cocycle-fractional-exponent", {"N": 2, "exp": [[1.5] * 3] * 3},
+     ["braid", "check", "--builtin", "transpositions:3", "--cocycle", "file:"]),
+    ("cocycle-fractional-exponent-dims", {"N": 2, "exp": [[1.5] * 3] * 3},
+     ["nichols", "dims", "--builtin", "transpositions:3", "--max-degree", "3",
+      "--cocycle", "file:"]),
+    ("cocycle-integral-float-exponent", {"N": 2, "exp": [[1.0] * 3] * 3},
+     ["nichols", "relators", "--builtin", "transpositions:3", "--max-degree", "2",
+      "--cocycle", "file:"]),
+    ("cocycle-integral-float-exponent-check", {"N": 2, "exp": [[1] * 3, [1] * 3, [1, 1, 1.0]]},
+     ["braid", "check", "--builtin", "transpositions:3", "--cocycle", "file:"]),
+    ("cocycle-bool-exponent", {"N": 2, "exp": [[True] * 3] * 3},
+     ["braid", "quadratic", "--builtin", "transpositions:3", "--cocycle", "file:"]),
+    ("cocycle-bool-order", {"N": True, "exp": [[0] * 3] * 3},
+     ["braid", "check", "--builtin", "transpositions:3", "--cocycle", "file:"]),
+    ("cocycle-float-order", {"N": 2.0, "exp": [[1] * 3] * 3},
+     ["braid", "quadratic", "--builtin", "transpositions:3", "--cocycle", "file:"]),
     ("group-no-degree", {"generators": [[2, 1]]},
      ["group", "coverings", "--images", "2", "--target", "SELF", "--group"]),
     ("group-bad-table", {"order": 2, "table": 5},
@@ -447,6 +465,9 @@ GOLDEN = {
     ("nichols", "dims", "--builtin", "transpositions:3", "--cocycle", "chi",
      "--max-degree", "4"):
         "17c9afa6ef4498818631dd039c7337b9d908e5d34ff443172941d52990081299",
+    ("nichols", "minimal", "--builtin", "transpositions:3", "--cocycle", "chi",
+     "--max-degree", "4"):
+        "96fd6796af946da770be78e39e4c2693b706d3d8811787fc30dfe0184c6b92fb",
 }
 
 

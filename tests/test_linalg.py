@@ -360,6 +360,25 @@ def random_rref_basis(rng, ambient, dim, order):
     return rows
 
 
+def assert_same_stored_scalars(found, expected):
+    """`==` compares scalars by value; this also pins the order each one is
+    stored at, and its coordinates there."""
+    assert found == expected
+    for (_, vec), (_, ref) in zip(found[0], expected[0]):
+        assert list(vec) == list(ref)
+        for c, value in vec.items():
+            assert type(value) is CycScalar
+            assert (value.order, value.coeffs) == (ref[c].order, ref[c].coeffs)
+
+
+def rational_at(basis, order):
+    """The basis with every value stored again at `order`; all rational."""
+    return [
+        {c: CycScalar.rational(v.as_rational(), order) for c, v in vec.items()}
+        for vec in basis
+    ]
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_support_minimal_matches_reference_cuts(order):
     # the depth-first cut walk against one rank_kernel per constraint set
@@ -368,9 +387,47 @@ def test_support_minimal_matches_reference_cuts(order):
         dim = rng.randint(1, 6)
         ambient = rng.randint(dim, 14)
         basis = random_rref_basis(rng, ambient, dim, order)
-        assert support_minimal_vectors(basis, ambient) == (
-            reference_support_minimal_vectors(basis, ambient)
+        assert_same_stored_scalars(
+            support_minimal_vectors(basis, ambient),
+            reference_support_minimal_vectors(basis, ambient),
         )
+
+
+def test_support_minimal_rational_values_keep_their_stored_order():
+    # rational values held at order 3 are searched over Q and come back at
+    # order 3; one non-rational entry sends the same basis down the
+    # CycScalar path, with the orders the reference gives
+    rng = random.Random(131)
+    z3 = root_of_unity(3)
+    for _ in range(6):
+        dim = rng.randint(2, 5)
+        ambient = rng.randint(dim + 1, 12)
+        basis = rational_at(random_rref_basis(rng, ambient, dim, 1), 3)
+        assert linalg._over_rationals(basis)[0] == 3
+        found = support_minimal_vectors(basis, ambient)
+        assert_same_stored_scalars(found, reference_support_minimal_vectors(basis, ambient))
+        assert all(v.order == 3 for _, vec in found[0] for v in vec.values())
+
+        mixed = [dict(vec) for vec in basis]
+        row = mixed[rng.randrange(dim)]
+        row[rng.choice([c for c in range(ambient) if c not in row])] = z3
+        assert linalg._over_rationals(mixed) is None
+        assert_same_stored_scalars(
+            support_minimal_vectors(mixed, ambient),
+            reference_support_minimal_vectors(mixed, ambient),
+        )
+
+
+def test_support_minimal_field_choice():
+    one, z4 = CycScalar.one, root_of_unity(4)
+    assert linalg._over_rationals([{0: one(2), 1: CycScalar.rational(Fraction(1, 2), 2)}]) == (
+        2, [{0: 1, 1: Fraction(1, 2)}]
+    )
+    # one order throughout, every value rational, every value a CycScalar
+    assert linalg._over_rationals([{0: one(2)}, {1: one(1)}]) is None
+    assert linalg._over_rationals([{0: one(4), 1: z4}]) is None
+    assert linalg._over_rationals([{0: 1}]) is None
+    assert linalg._over_rationals([]) is None
 
 
 def test_support_minimal_cut_vector_check(monkeypatch):

@@ -50,6 +50,7 @@ from .errors import (
     ValidationError,
     YDDatumError,
     malformed,
+    require_int,
 )
 from .groups import FiniteGroup
 from .linalg import add_terms, axpy
@@ -269,7 +270,6 @@ class GradedHopfSlice:
 
     datum: YDDatum
     cutoff: int
-    bases: list  # GradedBasis per degree
     basis: list  # list of BasisKey
     index: dict  # BasisKey -> position
     product: dict  # (keyA, keyB) -> Element, only for closed degree pairs
@@ -402,7 +402,6 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
     slice_ = GradedHopfSlice(
         datum=datum,
         cutoff=cutoff,
-        bases=bases,
         basis=basis_keys,
         index=index,
         product=product,
@@ -703,8 +702,6 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
 class HopfCoveringMap:
     """A verified covering: b # h -> b # f(h) over a group surjection f."""
 
-    source_cutoff: int
-    target_cutoff: int
     kernel_size: int
     lifts_per_element: int
     minimal_elements_checked: int
@@ -796,8 +793,6 @@ def covering_map_check(
     for degree in range(2, cutoff + 1):
         minimal.extend(_minimal_elements(source.space, degree))
     return HopfCoveringMap(
-        source_cutoff=cutoff,
-        target_cutoff=cutoff,
         kernel_size=len(kernel),
         lifts_per_element=len(kernel),
         minimal_elements_checked=len(minimal),
@@ -859,7 +854,9 @@ def datum_from_json(data: dict) -> YDDatum:
         rack = rack_from_json(data["rack"])
         cocycle = Cocycle.from_json(rack, data["cocycle"])
         group = load_group_json(data["group"])
-        deg, rows = data["deg"], data["action"]
+        deg = [require_int(i, "datum degree index {value!r} is not an integer")
+               for i in data["deg"]]
+        rows = data["action"]
         if len(deg) != rack.n or not all(1 <= i <= group.order for i in deg):
             raise ValidationError("need one group index in 1..|G| per rack element")
         degrees = tuple(group.elements[i - 1] for i in deg)
@@ -867,16 +864,17 @@ def datum_from_json(data: dict) -> YDDatum:
             raise ValidationError("need one action row per group element")
         action = {}
         for g, row in zip(group.elements, rows):
-            if len(row) != rack.n or not all(1 <= e[0] <= rack.n for e in row):
+            targets = [require_int(e[0], "action target {value!r} is not an integer")
+                       for e in row]
+            if len(row) != rack.n or not all(1 <= t <= rack.n for t in targets):
                 raise ValidationError("action rows need one [x' in 1..n, scalar] per x")
-            action[g] = tuple((entry[0] - 1, parse_scalar(entry[1])) for entry in row)
+            action[g] = tuple((t - 1, parse_scalar(e[1])) for t, e in zip(targets, row))
     datum = YDDatum(BraidedSpace(rack, cocycle), group, degrees, action)
     yd_verify(datum)
     return datum
 
 
 def datum_to_json(datum: YDDatum) -> dict:
-    from .braiding import Cocycle  # noqa: F401  (symmetry with loader)
     from .groups import group_to_json
     from .racks import rack_to_json
 

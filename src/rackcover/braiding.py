@@ -20,13 +20,9 @@ from dataclasses import dataclass
 from math import comb
 
 from .cyclotomic import CycScalar
-from .errors import InternalCheckError, ValidationError, malformed
+from .errors import InternalCheckError, ValidationError, malformed, require_int
 from .linalg import ExactMatrix, add_terms, determinant, rank_kernel
 from .racks import Rack, transposition_elements, transpositions_rack
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -41,19 +37,18 @@ class Cocycle:
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not _is_int(self.order) or self.order < 1:
-            raise ValidationError(
-                f"cocycle order N = {self.order!r} is not a positive integer"
-            )
+        message = "cocycle order N = {value!r} is not a positive integer"
+        if require_int(self.order, message) < 1:
+            raise ValidationError(message.format(value=self.order))
         n = self.rack.n
         if len(self.exponents) != n or any(len(r) != n for r in self.exponents):
             raise ValidationError("cocycle exponent table has wrong shape")
         for x, row in enumerate(self.exponents):
             for y, e in enumerate(row):
-                if not _is_int(e):
-                    raise ValidationError(
-                        f"cocycle exponent {e!r} at ({x}, {y}) is not an integer"
-                    )
+                require_int(
+                    e, "cocycle exponent {value!r} at ({x}, {y}) is not an integer",
+                    x=x, y=y,
+                )
         # stored reduced mod N, so equal cocycles have equal tables
         object.__setattr__(self, "exponents", tuple(
             tuple(e % self.order for e in row) for row in self.exponents
@@ -131,9 +126,6 @@ class BraidedSpace:
     def dim(self) -> int:
         return self.rack.n
 
-    def braiding_exponent(self, x: int, y: int) -> int:
-        return self.cocycle.exponent(x, y)
-
     def c_index(self, x: int, y: int) -> tuple[int, int]:
         return (self.rack.op(x, y), x)
 
@@ -187,7 +179,6 @@ class OrbitData:
 
     pairs: tuple[tuple[int, int], ...]
     theta_exponents: tuple[int, ...]
-    cocycle_order: int
     lam: CycScalar
     kernel_dim: int
     is_diagonal: bool
@@ -195,13 +186,6 @@ class OrbitData:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    @property
-    def theta_scalars(self) -> list[CycScalar]:
-        return [
-            CycScalar.root_of_unity(self.cocycle_order, e)
-            for e in self.theta_exponents
-        ]
 
     def one_plus_c_matrix(self) -> ExactMatrix:
         """1 + c on the block, in the theta basis: ones on the diagonal and
@@ -244,7 +228,7 @@ def c_orbits(space: BraidedSpace) -> list[OrbitData]:
                 pairs.append(cur)
                 exps.append(acc % N)
                 seen.add(cur)
-                acc += space.braiding_exponent(*cur)
+                acc += space.cocycle.exponent(*cur)
                 cur = space.c_index(*cur)
                 if cur == start:
                     break
@@ -261,7 +245,6 @@ def c_orbits(space: BraidedSpace) -> list[OrbitData]:
             orbit = OrbitData(
                 pairs=tuple(pairs),
                 theta_exponents=tuple(exps),
-                cocycle_order=N,
                 lam=lam,
                 kernel_dim=kernel_dim,
                 is_diagonal=(m == 1 and x == y),
@@ -272,16 +255,8 @@ def c_orbits(space: BraidedSpace) -> list[OrbitData]:
 
 @dataclass(frozen=True)
 class CensusReport:
-    orbits: tuple[OrbitData, ...]
     histogram: tuple[tuple[int, int], ...]  # (size, count), sorted
     total: int
-
-    def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "histogram": {str(size): count for size, count in self.histogram},
-            "orbit_sizes": [o.size for o in self.orbits],
-        }
 
 
 def c_orbit_census(space: BraidedSpace) -> CensusReport:
@@ -294,7 +269,6 @@ def c_orbit_census(space: BraidedSpace) -> CensusReport:
     if covered != space.dim**2:
         raise InternalCheckError("orbits do not partition X x X")
     return CensusReport(
-        orbits=tuple(orbits),
         histogram=tuple(sorted(sizes.items())),
         total=len(orbits),
     )
@@ -355,13 +329,18 @@ class QuadraticReport:
     def orbit_count(self) -> int:
         return len(self.analyses)
 
-    def to_json(self) -> dict:
-        return {
-            "orbits": self.orbit_count,
-            "qr": self.total_qr,
-            "dim2": self.dim2,
-            "kernel_dims": [a.orbit.kernel_dim for a in self.analyses],
-        }
+    @property
+    def many(self) -> bool:
+        """Many quadratic relations: dim ker(1 + c) >= d(d-1)/2."""
+        d = self.space.dim
+        return self.total_qr >= d * (d - 1) // 2
+
+    @property
+    def full(self) -> bool:
+        """Every non-diagonal orbit contributes a kernel line."""
+        return all(
+            a.orbit.kernel_dim == 1 for a in self.analyses if not a.orbit.is_diagonal
+        )
 
 
 def quadratic_analysis(space: BraidedSpace) -> QuadraticReport:
@@ -399,17 +378,3 @@ def quadratic_analysis(space: BraidedSpace) -> QuadraticReport:
         total_qr=total,
         dim2=d * d - total,
     )
-
-
-def full_quadratic_predicate(space: BraidedSpace) -> bool:
-    """True when every non-diagonal orbit contributes a kernel line."""
-    return all(
-        o.kernel_dim == 1 for o in c_orbits(space) if not o.is_diagonal
-    )
-
-
-def many_quadratic_predicate(space: BraidedSpace) -> bool:
-    """True when dim ker(1 + c) >= d(d-1)/2."""
-    report = quadratic_analysis(space)
-    d = space.dim
-    return report.total_qr >= d * (d - 1) // 2

@@ -24,7 +24,6 @@ from .braiding import (
     c_orbit_census,
     chi_cocycle,
     fk_census_formula,
-    full_quadratic_predicate,
     quadratic_analysis,
 )
 from .coset import todd_coxeter
@@ -234,8 +233,8 @@ def cmd_braid_quadratic(args):
         "orbits": report.orbit_count,
         "qr": report.total_qr,
         "dim2": report.dim2,
-        "full": full_quadratic_predicate(space),
-        "many": report.total_qr >= space.dim * (space.dim - 1) // 2,
+        "full": report.full,
+        "many": report.many,
         "kernel_dims": [a.orbit.kernel_dim for a in report.analyses],
     }
     _emit(args, "braid quadratic", result)

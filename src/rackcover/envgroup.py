@@ -27,6 +27,9 @@ from .linalg import abelian_invariants
 from .presentations import Presentation, Word
 from .racks import Rack
 
+# the largest source group `covering_lattice` takes
+MAX_COVERING_SOURCE = 20000
+
 
 def enveloping_presentation(rack: Rack) -> Presentation:
     """One generator per rack element; relators g_x g_y g_x^-1 g_{x|>y}^-1
@@ -144,7 +147,6 @@ def rack_inner_hom(rack: Rack) -> GroupHom:
 class CoveringLattice:
     """All covering groups H/M for [N, H] <= M <= N, N the kernel of f."""
 
-    hom: GroupHom
     kernel: frozenset
     commutator: frozenset  # [N, H]
     middles: tuple[frozenset, ...]  # the admissible M, ascending by size
@@ -155,7 +157,7 @@ class CoveringLattice:
         return len(self.middles)
 
 
-def covering_lattice(hom: GroupHom, bound: int = 20000) -> CoveringLattice:
+def covering_lattice(hom: GroupHom) -> CoveringLattice:
     """Enumerate the covering groups attached to a surjection of finite
     groups: quotients of the source by the subgroups between [N, H] and N.
 
@@ -166,8 +168,10 @@ def covering_lattice(hom: GroupHom, bound: int = 20000) -> CoveringLattice:
     source = hom.source
     if not isinstance(source, FiniteGroup):
         raise ValidationError("covering lattice needs a finite source group")
-    if source.order > bound:
-        raise BoundExceededError(f"source order {source.order} exceeds {bound}")
+    if source.order > MAX_COVERING_SOURCE:
+        raise BoundExceededError(
+            f"source order {source.order} exceeds {MAX_COVERING_SOURCE}"
+        )
     if not hom.is_surjective():
         raise NotSurjectiveError("covering lattice needs a surjection")
     kernel = hom.kernel()
@@ -195,7 +199,6 @@ def covering_lattice(hom: GroupHom, bound: int = 20000) -> CoveringLattice:
         _verify_quotient_map(source, cover, cover_proj)
         coverings.append(cover)
     return CoveringLattice(
-        hom=hom,
         kernel=frozenset(kernel),
         commutator=frozenset(comm),
         middles=tuple(middles),

@@ -29,6 +29,15 @@ def malformed(kind: str):
         raise ValidationError(f"malformed {kind} file: {exc}") from None
 
 
+def require_int(value, message: str, **fields) -> int:
+    """`value` when it is an int, else a ValidationError whose one line is
+    `message` formatted with `value` and `fields`.  A bool is not taken
+    for an int, nor is a float, even an integral one."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(message.format(value=value, **fields))
+
+
 class BoundExceededError(RackcoverError):
     """A configured resource bound was hit; partial results may be attached."""
 

@@ -9,9 +9,12 @@ quotients.
 
 from __future__ import annotations
 
-from .errors import BoundExceededError, ValidationError, malformed
+from .errors import BoundExceededError, ValidationError, malformed, require_int
 
 Perm = tuple[int, ...]
+
+# the most elements `FiniteGroup.from_permutations` closes a group to
+MAX_CLOSURE = 10**6
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
@@ -51,7 +54,7 @@ class FiniteGroup:
     # --- constructors ---------------------------------------------------
 
     @classmethod
-    def from_permutations(cls, generators, bound: int = 10**6, label=None):
+    def from_permutations(cls, generators, label=None):
         generators = [tuple(g) for g in generators]
         if not generators:
             raise ValidationError("need at least one permutation generator")
@@ -76,9 +79,9 @@ class FiniteGroup:
                         words[prod] = words[e] + (gi,)
                         order_list.append(prod)
                         nxt.append(prod)
-                        if len(order_list) > bound:
+                        if len(order_list) > MAX_CLOSURE:
                             raise BoundExceededError(
-                                f"group closure exceeded {bound} elements"
+                                f"group closure exceeded {MAX_CLOSURE} elements"
                             )
             frontier = nxt
         return cls(
@@ -364,15 +367,19 @@ def _ilog(n: int, p: int) -> int:
 
 def load_group_json(data: dict) -> FiniteGroup:
     """Group file: permutation generators (1-based images) or a table."""
+    def number(value):
+        return require_int(value, "group file value {value!r} is not an integer")
+
     with malformed("group"):
         if "generators" in data:
-            gens = [tuple(v - 1 for v in g) for g in data["generators"]]
-            if any(len(g) != data["degree"] for g in gens):
+            degree = number(data["degree"])
+            gens = [tuple(number(v) - 1 for v in g) for g in data["generators"]]
+            if any(len(g) != degree for g in gens):
                 raise ValidationError("generator length does not match degree")
             return FiniteGroup.from_permutations(gens)
         if "table" in data:
-            table = [[v - 1 for v in row] for row in data["table"]]
-            if len(table) != data["order"]:
+            table = [[number(v) - 1 for v in row] for row in data["table"]]
+            if len(table) != number(data["order"]):
                 raise ValidationError("table size does not match order")
             return FiniteGroup.from_table(table)
     raise ValidationError("group file needs 'generators' or 'table'")

@@ -113,13 +113,6 @@ class ExactMatrix:
             cols.setdefault(c, {})[r] = value
         return cols
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            {(c, r): v for (r, c), v in self.entries.items()},
-        )
-
     def apply(self, vector: Vector) -> Vector:
         """Matrix times column vector, sparse."""
         out: Vector = {}
@@ -470,12 +463,12 @@ def abelian_invariants(matrix: list[list[int]], ngens: int) -> tuple[int, tuple[
 # Support-minimal vectors of a subspace
 # ---------------------------------------------------------------------------
 
+# the largest ambient dimension the support search takes
+MAX_SUPPORT_AMBIENT = 64
+
 
 def support_minimal_vectors(
-    spanning: list[Vector],
-    ambient: int,
-    max_ambient: int = 64,
-    max_subsets: int = 500_000,
+    spanning: list[Vector], ambient: int, max_subsets: int = 500_000
 ) -> tuple[list[tuple[tuple[int, ...], Vector]], set[int]]:
     """All inclusion-minimal supports (size >= 2) of nonzero vectors in
     span(spanning), plus the set of coordinates i with e_i in the span.
@@ -487,7 +480,8 @@ def support_minimal_vectors(
     out (up to scalar) by some k-1 vanishing-coordinate constraints of full
     rank.  So the C(ambient, k-1) constraint subsets give a candidate set
     whose inclusion-minimal supports are exactly the answer; `max_subsets`
-    bounds that count.  `_minimal_by_constraint_cuts` walks the subsets.
+    bounds that count, and MAX_SUPPORT_AMBIENT bounds `ambient`.
+    `_minimal_by_constraint_cuts` walks the subsets.
 
     The field is chosen from the values: when every entry is a rational
     `CycScalar` and all are stored at one order M, the search runs on
@@ -498,9 +492,9 @@ def support_minimal_vectors(
     the same steps over Q(zeta_M) give the same values, held at order M.
     Any other input is searched as given.
     """
-    if ambient > max_ambient:
+    if ambient > MAX_SUPPORT_AMBIENT:
         raise BoundExceededError(
-            f"ambient dimension {ambient} exceeds bound {max_ambient}"
+            f"ambient dimension {ambient} exceeds bound {MAX_SUPPORT_AMBIENT}"
         )
     rational = _over_rationals(spanning)
     if rational is not None:

@@ -41,11 +41,12 @@ Higher machinery built on the graded pieces:
   "block" (words connected by single braid-generator moves), since a
   minimal element cannot straddle blocks;
 * group relators read off minimal supports, giving a presentation of the
-  degree-limited covering group on the rack's generators;
-* a soundness check that every minimal element is homogeneous for the two
-  computable invariants of the enveloping group (inner permutation image
-  and abelianization image).  The word problem in the enveloping group is
-  not solved; this check is sound but deliberately incomplete.
+  degree-limited covering group on the rack's generators.
+
+A braid-generator move keeps a word's inner permutation image and its
+letter counts per rack orbit, the two computable invariants of the
+enveloping group.  So every minimal element lies in one grade, and each
+relator it gives holds in the inner group and the abelianization.
 """
 
 from __future__ import annotations
@@ -486,7 +487,7 @@ class GradedBasis:
 
 
 # ---------------------------------------------------------------------------
-# Minimal elements, relators, grading consistency
+# Minimal elements and relators
 # ---------------------------------------------------------------------------
 
 
@@ -498,9 +499,6 @@ class MinimalElement:
     degree: int
     words: tuple[RackWord, ...]
     vector: tuple[tuple[RackWord, CycScalar], ...]
-
-    def coefficients(self) -> dict[RackWord, CycScalar]:
-        return dict(self.vector)
 
 
 def word_blocks(space: BraidedSpace, degree: int) -> list[list[int]]:
@@ -528,10 +526,7 @@ def word_blocks(space: BraidedSpace, degree: int) -> list[list[int]]:
 
 
 def minimal_elements(
-    space: BraidedSpace,
-    degree: int,
-    max_cols: int = 10**4,
-    max_support_ambient: int = 64,
+    space: BraidedSpace, degree: int, max_cols: int = 10**4
 ) -> list[MinimalElement]:
     """Support-minimal elements of the degree-n component, blockwise."""
     if degree < 1:
@@ -548,9 +543,7 @@ def minimal_elements(
                 spanning.append({local[r]: v for r, v in col.items()})
         if not spanning:
             continue
-        found, _units = support_minimal_vectors(
-            spanning, len(block), max_ambient=max_support_ambient
-        )
+        found, _units = support_minimal_vectors(spanning, len(block))
         for support, rep in found:
             support_words = tuple(words.word(block[i]) for i in support)
             vector = tuple(
@@ -570,32 +563,11 @@ class RelatorSet:
     pairs: tuple[tuple[RackWord, RackWord], ...]
     relators: tuple[Word, ...]
 
-    def to_json(self, labels=None) -> dict:
-        from .presentations import default_labels, format_word
-
-        labels = labels or default_labels(
-            max((max(map(abs, r)) for r in self.relators), default=1)
-        )
-        return {
-            "degree": self.degree,
-            "pairs": [[list(p), list(q)] for p, q in self.pairs],
-            "relators": [format_word(r, labels) for r in self.relators],
-        }
-
 
 @dataclass(frozen=True)
 class CoveringRelators:
     per_degree: tuple[RelatorSet, ...]
     presentation: Presentation
-    max_degree: int
-
-    def to_json(self) -> dict:
-        labels = self.presentation.label_list()
-        return {
-            "max_degree": self.max_degree,
-            "per_degree": [r.to_json(labels) for r in self.per_degree],
-            "presentation": self.presentation.to_json(),
-        }
 
 
 def _pair_to_relator(p: RackWord, q: RackWord) -> Word:
@@ -605,10 +577,7 @@ def _pair_to_relator(p: RackWord, q: RackWord) -> Word:
 
 
 def covering_relators(
-    space: BraidedSpace,
-    max_degree: int,
-    max_cols: int = 10**4,
-    max_support_ambient: int = 64,
+    space: BraidedSpace, max_degree: int, max_cols: int = 10**4
 ) -> CoveringRelators:
     """Extract group relators from minimal elements up to max_degree and
     assemble the presentation: the free group on the rack's elements
@@ -624,12 +593,11 @@ def covering_relators(
     for degree in range(2, max_degree + 1):
         pairs: list[tuple[RackWord, RackWord]] = []
         try:
-            elements = minimal_elements(space, degree, max_cols, max_support_ambient)
+            elements = minimal_elements(space, degree, max_cols)
         except BoundExceededError as err:
             partial = CoveringRelators(
                 per_degree=tuple(per_degree),
                 presentation=Presentation.make(space.dim, all_relators),
-                max_degree=degree - 1,
             )
             raise BoundExceededError(str(err), partial=partial) from None
         for element in elements:
@@ -649,71 +617,4 @@ def covering_relators(
     return CoveringRelators(
         per_degree=tuple(per_degree),
         presentation=presentation,
-        max_degree=max_degree,
     )
-
-
-# --- grading consistency ----------------------------------------------------
-
-
-def word_inner_image(space: BraidedSpace, word: RackWord):
-    """Image of g_{x1} ... g_{xn} in the inner permutation group."""
-    acc = identity_perm(space.rack.n)
-    for x in word:
-        acc = perm_compose(acc, space.rack.translation(x))
-    return acc
-
-
-def word_orbit_vector(space: BraidedSpace, word: RackWord) -> tuple[int, ...]:
-    """Image in the abelianization Z^(rack orbits): letter counts by orbit."""
-    orbits = space.rack.orbits()
-    position = {}
-    for i, block in enumerate(orbits):
-        for x in block:
-            position[x] = i
-    counts = [0] * len(orbits)
-    for x in word:
-        counts[position[x]] += 1
-    return tuple(counts)
-
-
-def words_consistent(space: BraidedSpace, words) -> tuple[bool, tuple | None]:
-    """Do all words share both computable enveloping-group invariants?"""
-    words = list(words)
-    if not words:
-        return True, None
-    base = words[0]
-    inner0 = word_inner_image(space, base)
-    orbit0 = word_orbit_vector(space, base)
-    for other in words[1:]:
-        if word_inner_image(space, other) != inner0:
-            return False, (base, other, "inner")
-        if word_orbit_vector(space, other) != orbit0:
-            return False, (base, other, "abelianization")
-    return True, None
-
-
-@dataclass(frozen=True)
-class GradingReport:
-    ok: bool
-    witnesses: tuple
-
-
-def grading_consistency(
-    space: BraidedSpace,
-    max_degree: int,
-    max_cols: int = 10**4,
-    max_support_ambient: int = 64,
-) -> GradingReport:
-    """Check that each minimal element is homogeneous for the two
-    computable invariants.  Sound but incomplete: agreement of the
-    invariants does not prove equality in the enveloping group."""
-    witnesses = []
-    for degree in range(2, max_degree + 1):
-        for element in minimal_elements(
-            space, degree, max_cols, max_support_ambient
-        ):
-            ok, witness = words_consistent(space, element.words)
-            if not ok:
-                witnesses.append((degree,) + witness)
-    return GradingReport(ok=not witnesses, witnesses=tuple(witnesses))

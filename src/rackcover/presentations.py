@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError, malformed
+from .errors import ValidationError, malformed, require_int
 
 Word = tuple[int, ...]
 
@@ -105,7 +105,7 @@ class Presentation:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.ngens, int) or self.ngens < 0:
+        if require_int(self.ngens, "generator count {value!r} is not an integer") < 0:
             raise ValidationError(f"generator count {self.ngens!r} is not >= 0")
         if self.labels is not None and len(self.labels) != self.ngens:
             raise ValidationError("label count does not match generator count")
@@ -149,7 +149,9 @@ class Presentation:
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
         with malformed("presentation"):
-            ngens = data["generators"]
+            ngens = require_int(
+                data["generators"], "generator count {value!r} is not an integer"
+            )
             given = tuple(data["labels"]) if "labels" in data else None
             labels = given or default_labels(ngens)
             relators = [parse_word(text, labels) for text in data["relators"]]

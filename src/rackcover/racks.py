@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
 
-from .errors import RackAxiomError, UnknownNameError, ValidationError, malformed
+from .errors import (
+    RackAxiomError,
+    UnknownNameError,
+    ValidationError,
+    malformed,
+    require_int,
+)
 from .groups import FiniteGroup, perm_compose, perm_inverse
 
 
@@ -66,11 +72,10 @@ class Rack:
     def is_faithful(self) -> bool:
         return len({self.table[x] for x in range(self.n)}) == self.n
 
-    def inner_group(self, bound: int = 10**6) -> FiniteGroup:
+    def inner_group(self) -> FiniteGroup:
         """Subgroup of Sym(X) generated by the translations."""
         return FiniteGroup.from_permutations(
             [self.translation(x) for x in range(self.n)],
-            bound=bound,
             label=f"Inn({self.label})" if self.label else "Inn",
         )
 
@@ -278,21 +283,7 @@ def _cycle_type(p) -> tuple[int, ...]:
 
 
 def _parity(p) -> int:
-    return (len(p) - len(_orbit_count(p))) % 2
-
-
-def _orbit_count(p):
-    seen = [False] * len(p)
-    reps = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        reps.append(i)
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-    return reps
+    return sum(length - 1 for length in _cycle_type(p)) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +293,11 @@ def _orbit_count(p):
 
 def rack_from_json(data: dict) -> Rack:
     with malformed("rack"):
-        table = [[v - 1 for v in row] for row in data["table"]]
-        if len(table) != data["n"]:
-            raise ValidationError(f"table has {len(table)} rows, 'n' says {data['n']}")
+        n = require_int(data["n"], "rack size n = {value!r} is not an integer")
+        entry = "rack table entry {value!r} is not an integer"
+        table = [[require_int(v, entry) - 1 for v in row] for row in data["table"]]
+        if len(table) != n:
+            raise ValidationError(f"table has {len(table)} rows, 'n' says {n}")
     return rack_verify(table, label=data.get("label"))
 
 

@@ -197,7 +197,6 @@ def shuffle_slice(datum, cutoff: int) -> GradedHopfSlice:
     slice_ = GradedHopfSlice(
         datum=datum,
         cutoff=cutoff,
-        bases=bases,
         basis=keys,
         index={key: pos for pos, key in enumerate(keys)},
         product=product,

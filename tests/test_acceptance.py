@@ -21,8 +21,6 @@ from rackcover.braiding import (
     c_orbit_census,
     chi_cocycle,
     fk_census_formula,
-    full_quadratic_predicate,
-    many_quadratic_predicate,
     quadratic_analysis,
 )
 from rackcover.cli import main as cli_main
@@ -144,10 +142,10 @@ def test_criterion_03_determinant_kernel_consistency():
 
 def test_criterion_04_predicates():
     started = time.monotonic()
-    assert full_quadratic_predicate(chi_space(6)) is True
-    assert many_quadratic_predicate(chi_space(6)) is False
-    assert many_quadratic_predicate(chi_space(4)) is True  # 17 >= 15
-    assert many_quadratic_predicate(chi_space(5)) is True  # 45 >= 45
+    assert quadratic_analysis(chi_space(6)).full is True
+    assert quadratic_analysis(chi_space(6)).many is False
+    assert quadratic_analysis(chi_space(4)).many is True  # 17 >= 15
+    assert quadratic_analysis(chi_space(5)).many is True  # 45 >= 45
     _passed(4, started, "full/many predicates for transpositions of S_4..S_6")
 
 
@@ -348,7 +346,8 @@ def test_criterion_12_property_suites():
                         entries[(r, c)] = root_of_unity(order, rng.randint(0, order - 1)) * coeff
         matrix = ExactMatrix(rows, cols, entries)
         rank, kernel = rank_kernel(matrix)
-        rank_t, _ = rank_kernel(matrix.transpose())
+        transposed = {(c, r): v for (r, c), v in entries.items()}
+        rank_t, _ = rank_kernel(ExactMatrix(cols, rows, transposed))
         assert rank == rank_t
         assert rank + len(kernel) == cols
         for vec in kernel:

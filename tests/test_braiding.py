@@ -10,8 +10,6 @@ from rackcover.braiding import (
     c_orbits,
     chi_cocycle,
     fk_census_formula,
-    full_quadratic_predicate,
-    many_quadratic_predicate,
     quadratic_analysis,
 )
 from rackcover.cyclotomic import CycScalar, root_of_unity
@@ -268,10 +266,10 @@ def test_orbits_partition_and_lambda_by_iteration():
         assert len(seen) == space.dim ** 2
 
 
-def test_theta_scalars_track_cocycle_products():
+def test_theta_exponents_track_cocycle_products():
     space = chi_space(3)
     for orbit in c_orbits(space):
-        scalars = orbit.theta_scalars
+        scalars = [root_of_unity(space.cocycle.order, e) for e in orbit.theta_exponents]
         assert scalars[0] == 1
         for i in range(1, orbit.size):
             x, y = orbit.pairs[i - 1]
@@ -400,11 +398,11 @@ def test_determinant_formula_all_catalog_orbits():
 
 
 def test_predicates():
-    assert full_quadratic_predicate(chi_space(6))
-    assert not many_quadratic_predicate(chi_space(6))
-    assert many_quadratic_predicate(chi_space(4))  # 17 >= 15
-    assert many_quadratic_predicate(chi_space(5))  # 45 >= 45, equality
-    assert not full_quadratic_predicate(cartan_zeta3_space())
+    assert quadratic_analysis(chi_space(6)).full
+    assert not quadratic_analysis(chi_space(6)).many
+    assert quadratic_analysis(chi_space(4)).many  # 17 >= 15
+    assert quadratic_analysis(chi_space(5)).many  # 45 >= 45, equality
+    assert not quadratic_analysis(cartan_zeta3_space()).full
 
 
 def test_diagonal_handling():

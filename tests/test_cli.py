@@ -344,6 +344,20 @@ MALFORMED = [
     ("datum-degree-out-of-range", _datum_with("deg", [3]), ["hopf", "bosonize", "--datum"]),
     ("datum-bad-scalar", _datum_with("action", [[[1, "two"]], [[1, "2 1"]]]),
      ["hopf", "bosonize", "--datum"]),
+    # counts, entries and indices must be ints in every loader, as in the
+    # cocycle: neither a bool nor an integral float passes for one
+    ("rack-bool-size", {"n": True, "table": [[1]]}, ["rack", "info", "--file"]),
+    ("rack-bool-entry", {"n": 1, "table": [[True]]}, ["rack", "info", "--file"]),
+    ("rack-float-entry", {"n": 1, "table": [[1.0]]}, ["rack", "info", "--file"]),
+    ("presentation-bool-count", {"generators": True, "relators": ["x1 x1"]},
+     ["group", "tc", "--presentation"]),
+    ("group-bool-table-entry", {"order": 2, "table": [[1, 2], [2, True]]},
+     ["group", "coverings", "--images", "1,2", "--target", "SELF", "--group"]),
+    ("group-bool-generator", {"degree": 2, "generators": [[2, True]]},
+     ["group", "coverings", "--images", "2", "--target", "SELF", "--group"]),
+    ("datum-bool-degree", _datum_with("deg", [True]), ["hopf", "bosonize", "--datum"]),
+    ("datum-bool-target", _datum_with("action", [[[True, "2 0"]], [[True, "2 1"]]]),
+     ["hopf", "bosonize", "--datum"]),
 ]
 
 
@@ -468,6 +482,14 @@ GOLDEN = {
     ("nichols", "minimal", "--builtin", "transpositions:3", "--cocycle", "chi",
      "--max-degree", "4"):
         "96fd6796af946da770be78e39e4c2693b706d3d8811787fc30dfe0184c6b92fb",
+    # "many" true
+    ("braid", "quadratic", "--builtin", "transpositions:4", "--cocycle", "chi"):
+        "2bbeb6570f1505517fde74933a9c8beb8e3f3af7d9a8c612a8f912c5459d146b",
+    # "many" false, "full" true
+    ("braid", "quadratic", "--builtin", "transpositions:6", "--cocycle", "chi"):
+        "b32e95632af4cd813a3de8070ffe2b91f09b9683561ff4cbd808c7048cedd6e6",
+    ("rack", "info", "--builtin", "four_cycles_S4"):
+        "fc672272e686780a199b78c1b70b0d7f085ebce35f63211356513099c407fff1",
 }
 
 

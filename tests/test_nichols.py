@@ -9,6 +9,7 @@ from rackcover.braiding import BraidedSpace, Cocycle, chi_cocycle, quadratic_ana
 from rackcover.cyclotomic import CycScalar, root_of_unity
 from rackcover.errors import BoundExceededError, InternalCheckError
 from rackcover import nichols
+from rackcover.groups import identity_perm, perm_compose
 from rackcover.linalg import IncrementalSpan
 from rackcover.nichols import (
     GradedBasis,
@@ -17,12 +18,10 @@ from rackcover.nichols import (
     TensorWords,
     _check_graded_report,
     covering_relators,
-    grading_consistency,
     hilbert_series,
     minimal_elements,
     symmetrizer_matrix,
     word_blocks,
-    words_consistent,
 )
 from rackcover.presentations import relator_key
 from rackcover.racks import (
@@ -627,25 +626,29 @@ def test_covering_relators_serre_cubic():
     assert free_rank == 2 and torsion == ()
 
 
-# --- grading consistency -----------------------------------------------------------
+# --- grades of minimal elements ---------------------------------------------------
 
 
-def test_grading_consistency_transpositions():
-    assert grading_consistency(chi_space(3), 4).ok
-    assert grading_consistency(chi_space(4), 3).ok
+def word_grade(space, word):
+    """The inner permutation image of g_{x1} ... g_{xn}, and the letter
+    counts per rack orbit: the two computable enveloping-group invariants."""
+    rack = space.rack
+    image = identity_perm(rack.n)
+    for x in word:
+        image = perm_compose(image, rack.translation(x))
+    counts = tuple(sum(x in block for x in word) for block in rack.orbits())
+    return image, counts
 
 
-def test_grading_consistency_detects_corruption():
-    space = chi_space(3)
-    # a fabricated "minimal element" mixing words with different letter
-    # multisets must be flagged
-    ok, witness = words_consistent(space, [(0, 1), (0, 2)])
-    assert not ok
-    assert witness[2] in ("inner", "abelianization")
-
-
-def test_words_consistent_on_true_pairs():
-    space = chi_space(3)
-    for element in minimal_elements(space, 2):
-        ok, _ = words_consistent(space, element.words)
-        assert ok
+@pytest.mark.parametrize("n,max_degree", [(3, 4), (4, 3)], ids=["chi3", "chi4"])
+def test_minimal_elements_lie_in_one_grade(n, max_degree):
+    # a minimal element lies in one braid-group orbit of words, and a
+    # braid-generator move keeps both invariants
+    space = chi_space(n)
+    assert word_grade(space, (0, 1)) != word_grade(space, (0, 2))
+    for degree in range(2, max_degree + 1):
+        elements = minimal_elements(space, degree)
+        assert elements
+        for element in elements:
+            grades = {word_grade(space, word) for word in element.words}
+            assert len(grades) == 1, element.words

@@ -1,15 +1,21 @@
 """The benchmark's tracer wraps rackcover functions by name, and a traced
 run fails when one of those names is gone.  This reads the names from
 `perfbench/tracing.py` with `ast`, without importing it, and resolves each
-against rackcover the way the tracer's `install` does."""
+against rackcover the way the tracer's `install` does.  A name can resolve
+and still get no call, when the function has lost its last caller; one
+traced benchmark run, in a subprocess, catches that."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from rackcover.cyclotomic import CycScalar
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _assigned(name):
@@ -52,3 +58,16 @@ def test_every_counted_scalar_operation_resolves():
     assert ops
     missing = [member for member in ops if member not in vars(CycScalar)]
     assert not missing, missing
+
+
+def test_traced_run_measures_every_layer():
+    # exit 2 and "not measured" on stderr mean a per-layer metric got no
+    # call; `correct` is not asserted, since its span balance depends on
+    # timing.  The run writes under perfbench/work/ only.
+    argv = ["perfbench/run.py", "--workload", "graded-deep", "--seed", "0", "--trace", "1"]
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "not measured" not in proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["failed"] == 0

@@ -640,15 +640,31 @@ def word_grade(space, word):
     return image, counts
 
 
-@pytest.mark.parametrize("n,max_degree", [(3, 4), (4, 3)], ids=["chi3", "chi4"])
-def test_minimal_elements_lie_in_one_grade(n, max_degree):
+def assert_one_grade(space, max_degree):
     # a minimal element lies in one braid-group orbit of words, and a
     # braid-generator move keeps both invariants
-    space = chi_space(n)
-    assert word_grade(space, (0, 1)) != word_grade(space, (0, 2))
     for degree in range(2, max_degree + 1):
         elements = minimal_elements(space, degree)
         assert elements
         for element in elements:
             grades = {word_grade(space, word) for word in element.words}
             assert len(grades) == 1, element.words
+
+
+def test_grading_consistency_transpositions():
+    assert_one_grade(chi_space(3), 4)
+    assert_one_grade(chi_space(4), 3)
+
+
+def test_grading_consistency_detects_corruption():
+    space = chi_space(3)
+    # a fabricated "minimal element" mixing words with different letter
+    # multisets must get two grades; here the inner images differ
+    inner01, counts01 = word_grade(space, (0, 1))
+    inner02, counts02 = word_grade(space, (0, 2))
+    assert inner01 != inner02
+    assert counts01 == counts02
+
+
+def test_words_consistent_on_true_pairs():
+    assert_one_grade(chi_space(3), 2)

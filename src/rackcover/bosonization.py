@@ -27,13 +27,10 @@ degree exceeds D) are skipped and reported as such; everything else is
 checked exactly on basis elements.  The verifier compiles the slice once
 into tables indexed by basis position: products for the closed degree
 pairs only, as rows of (position, scalar), and coproducts and antipodes
-per position.  Their field is read off the constants: when every
-constant is rational (always so when phi(N) = 1) the tables hold ints,
-with a Fraction only where a constant is not integral, else the stored
-CycScalars.  Sums keep the zeros that cancellation leaves, and two sides
-are compared with == and, only when that fails, again with zero entries
-dropped; a zero entry and an absent key are the same coordinate, so
-both comparisons are exact.
+per position, over the `cyclotomic.Field` of the constants.  Sums keep
+the zeros that cancellation leaves, and two sides are compared with ==
+and, only when that fails, again with zero entries dropped; a zero entry
+and an absent key are the same coordinate, so both comparisons are exact.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .braiding import BraidedSpace
-from .cyclotomic import CycScalar, parse_scalar
+from .cyclotomic import CycScalar, Field, parse_scalar
 from .errors import (
     AxiomFailsError,
     BoundExceededError,
@@ -471,30 +468,18 @@ class _Tables:
 
 
 def _compile(slice_: GradedHopfSlice) -> _Tables:
-    """Position-indexed structure tables over one field.  If every product,
-    coproduct and antipode constant is rational, the tables hold ints, with
-    a Fraction only where a constant is not integral; else they keep the
-    stored CycScalars."""
+    """Position-indexed structure tables over the `Field` of every product,
+    coproduct and antipode constant."""
     basis, index, D = slice_.basis, slice_.index, slice_.cutoff
     degree = [key[0] for key in basis]
     if degree != sorted(degree):
         raise InternalCheckError("slice basis is not ordered by degree")
     closed = [bisect_right(degree, m) for m in range(D + 1)]
     tables = (slice_.product, slice_.coproduct, slice_.antipode)
-    if all(
-        c.as_rational() is not None
-        for table in tables for entry in table.values() for c in entry.values()
-    ):
-        one = 1
-
-        def scalar(c):
-            r = c.as_rational()
-            return r.numerator if r.denominator == 1 else r
-    else:
-        one = CycScalar.one()
-
-        def scalar(c):
-            return c
+    field = Field(
+        c for table in tables for entry in table.values() for c in entry.values()
+    )
+    scalar = field.internal
 
     def row(entry: Element) -> tuple:
         return tuple([(index[k], scalar(c)) for k, c in entry.items()])
@@ -510,7 +495,7 @@ def _compile(slice_: GradedHopfSlice) -> _Tables:
         for key in basis
     ]
     antipode = [row(slice_.antipode[key]) for key in basis]
-    return _Tables(degree, closed, product, coproduct, antipode, one)
+    return _Tables(degree, closed, product, coproduct, antipode, field.one)
 
 
 def _gather(terms) -> dict:
@@ -544,16 +529,14 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     The slice is compiled once (`_compile`): basis elements become their
     positions in `slice_.basis`, the product table holds the closed degree
     pairs as rows of (position, scalar), and coproducts and antipodes are
-    tuples per position.  The field is read off the constants, not off the
-    cocycle order: when all of them are rational (always so when
-    phi(N) = 1) the axioms are checked over Python ints and Fractions,
-    else over the stored CycScalars.  Every instance is evaluated, on the
-    same basis elements in the same order as on the keyed dicts.  Sums
-    start from their first term and keep the zeros that cancellation
-    leaves; `_same` compares two sides with == and, only when that fails,
-    again without zero entries, which is exact because a zero entry and
-    an absent key are the same coordinate.  The group-like and
-    skew-primitive checks read the slice's own dicts."""
+    tuples per position, over the `Field` of the constants rather than of
+    the cocycle.  Every instance is evaluated, on the same basis elements
+    in the same order as on the keyed dicts.  Sums start from their first
+    term and keep the zeros that cancellation leaves; `_same` compares two
+    sides with == and, only when that fails, again without zero entries,
+    which is exact because a zero entry and an absent key are the same
+    coordinate.  The group-like and skew-primitive checks read the slice's
+    own dicts."""
     datum = slice_.datum
     group = datum.group
     D = slice_.cutoff
@@ -884,12 +867,9 @@ def datum_to_json(datum: YDDatum) -> dict:
         row = []
         for x in range(datum.space.dim):
             tx, s = datum.act_index(g, x)
-            text = s.as_root_string()
-            if text is None:
-                rational = s.as_rational()
-                if rational is None:
-                    raise ValidationError("action scalar is not a stored form")
-                text = str(rational)
+            text = s.to_json()
+            if isinstance(text, dict):
+                raise ValidationError("action scalar is not a stored form")
             row.append([tx + 1, text])
         rows.append(row)
     return {

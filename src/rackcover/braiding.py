@@ -306,13 +306,6 @@ def fk_census_formula(n: int) -> FkCensusRow:
 
 
 @dataclass(frozen=True)
-class OrbitAnalysis:
-    orbit: OrbitData
-    determinant: CycScalar
-    nullity: int
-
-
-@dataclass(frozen=True)
 class QuadraticReport:
     """Kernel of 1 + c orbit by orbit.
 
@@ -321,13 +314,13 @@ class QuadraticReport:
     """
 
     space: BraidedSpace
-    analyses: tuple[OrbitAnalysis, ...]
+    orbits: tuple[OrbitData, ...]
     total_qr: int
     dim2: int
 
     @property
     def orbit_count(self) -> int:
-        return len(self.analyses)
+        return len(self.orbits)
 
     @property
     def many(self) -> bool:
@@ -338,18 +331,16 @@ class QuadraticReport:
     @property
     def full(self) -> bool:
         """Every non-diagonal orbit contributes a kernel line."""
-        return all(
-            a.orbit.kernel_dim == 1 for a in self.analyses if not a.orbit.is_diagonal
-        )
+        return all(o.kernel_dim == 1 for o in self.orbits if not o.is_diagonal)
 
 
 def quadratic_analysis(space: BraidedSpace) -> QuadraticReport:
     """Per-orbit kernel dimensions by the sign criterion, each cross-checked
     against the exact rank of 1 + c on the block, and against the explicit
     kernel vector when present."""
-    analyses = []
+    orbits = c_orbits(space)
     total = 0
-    for orbit in c_orbits(space):
+    for orbit in orbits:
         matrix = orbit.one_plus_c_matrix()
         m = orbit.size
         det = determinant(matrix)
@@ -370,11 +361,10 @@ def quadratic_analysis(space: BraidedSpace) -> QuadraticReport:
                 f"alternating theta sum not annihilated at {orbit.pairs[0]}"
             )
         total += nullity
-        analyses.append(OrbitAnalysis(orbit, det, nullity))
     d = space.dim
     return QuadraticReport(
         space=space,
-        analyses=tuple(analyses),
+        orbits=tuple(orbits),
         total_qr=total,
         dim2=d * d - total,
     )

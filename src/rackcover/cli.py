@@ -235,7 +235,7 @@ def cmd_braid_quadratic(args):
         "dim2": report.dim2,
         "full": report.full,
         "many": report.many,
-        "kernel_dims": [a.orbit.kernel_dim for a in report.analyses],
+        "kernel_dims": [orbit.kernel_dim for orbit in report.orbits],
     }
     _emit(args, "braid quadratic", result)
 

@@ -14,6 +14,10 @@ Other mixed orders lift both operands into Q(zeta_lcm) via
 z_N = z_M^(M/N).  Every result is stored at the lcm of its operand
 orders, and `to_json` and `as_root_string` print a value at its stored
 order, so byte-stable exports rely on this rule.
+
+A computation over many scalars chooses its field once, as a `Field`:
+Q when its inputs are all rational, so that it runs on Python numbers,
+else Q(zeta_M).  Only this module reads coordinates.
 """
 
 from __future__ import annotations
@@ -449,6 +453,36 @@ def _polysub(a, b):
     for i, y in enumerate(b):
         out[i] -= y
     return out
+
+
+class Field:
+    """The field one computation runs over, chosen once from its input
+    scalars; M is the lcm of their orders.
+
+    When every input is rational the field is Q: the computation holds
+    ints, with a Fraction only where a value is not integral, `internal`
+    maps an input to that form, and `export` stores a result back as a
+    CycScalar of order M.  That is exact, because Q is a subfield of
+    Q(zeta_M): adding, multiplying and dividing rationals gives the same
+    values in both.  Otherwise the field is Q(zeta_M) and both maps are
+    the identity.  `one` is the unit as the computation holds it."""
+
+    __slots__ = ("order", "rational", "one")
+
+    def __init__(self, scalars):
+        order, rational = 1, True
+        for s in scalars:
+            order = order * s.order // gcd(order, s.order)
+            rational = rational and not any(s.coeffs[1:])
+        self.order = order
+        self.rational = rational
+        self.one = 1 if rational else CycScalar.one(order)
+
+    def internal(self, scalar: CycScalar):
+        return scalar.coeffs[0] if self.rational else scalar
+
+    def export(self, value) -> CycScalar:
+        return CycScalar.rational(value, self.order) if self.rational else value
 
 
 def root_of_unity(order: int, k: int = 1) -> CycScalar:

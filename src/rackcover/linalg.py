@@ -20,9 +20,7 @@ So two vectors are equal exactly when their dicts compare equal with `==`
 (scalars of different orders compare by value).  The kernel,
 `_combination` and `IncrementalSpan` take any exact scalars: `CycScalar`s,
 or Python ints and Fractions when the field is Q.  `support_minimal_vectors`
-chooses its field from its input: spanning vectors whose entries are all
-rational and stored at one order are searched over ints and Fractions,
-and the vectors found are stored back at that order.
+runs over the `cyclotomic.Field` of its input.
 
 Ranks reported by this module always come from exact elimination; modular
 shortcuts are deliberately not used.
@@ -34,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
-from .cyclotomic import CycScalar
+from .cyclotomic import CycScalar, Field
 from .errors import BoundExceededError, InternalCheckError, NonSquareError
 
 Vector = dict[int, CycScalar]
@@ -481,25 +479,16 @@ def support_minimal_vectors(
     rank.  So the C(ambient, k-1) constraint subsets give a candidate set
     whose inclusion-minimal supports are exactly the answer; `max_subsets`
     bounds that count, and MAX_SUPPORT_AMBIENT bounds `ambient`.
-    `_minimal_by_constraint_cuts` walks the subsets.
-
-    The field is chosen from the values: when every entry is a rational
-    `CycScalar` and all are stored at one order M, the search runs on
-    Python ints (Fractions where a value is not integral) and the vectors
-    it returns are stored back at order M.  That is exact, because Q is a
-    subfield of Q(zeta_M): the elimination, the cuts and the normalization
-    of rational vectors only ever add, multiply and divide rationals, so
-    the same steps over Q(zeta_M) give the same values, held at order M.
-    Any other input is searched as given.
+    `_minimal_by_constraint_cuts` walks the subsets.  The search runs
+    over the `Field` of the spanning entries.
     """
     if ambient > MAX_SUPPORT_AMBIENT:
         raise BoundExceededError(
             f"ambient dimension {ambient} exceeds bound {MAX_SUPPORT_AMBIENT}"
         )
-    rational = _over_rationals(spanning)
-    if rational is not None:
-        order, spanning = rational
-    pivots = _eliminate(spanning)
+    field = Field(v for vec in spanning for v in vec.values())
+    internal = field.internal
+    pivots = _eliminate([{c: internal(v) for c, v in vec.items()} for vec in spanning])
     basis = [row for _, row in pivots]
     dim = len(basis)
     if dim == 0:
@@ -517,29 +506,11 @@ def support_minimal_vectors(
         )
     found = _minimal_by_constraint_cuts(basis, ambient, unit_coords)
     found.sort(key=lambda t: (len(t[0]), t[0]))
-    if rational is not None:
-        found = [
-            (support, {c: CycScalar.rational(v, order) for c, v in vec.items()})
-            for support, vec in found
-        ]
+    export = field.export
+    found = [
+        (support, {c: export(v) for c, v in vec.items()}) for support, vec in found
+    ]
     return found, unit_coords
-
-
-def _over_rationals(vectors: list[Vector]):
-    """(M, the vectors with Python-number entries) when every entry is a
-    rational CycScalar stored at the one order M, else None."""
-    orders = set()
-    rows = []
-    for vec in vectors:
-        row = {}
-        for c, v in vec.items():
-            value = v.as_rational() if isinstance(v, CycScalar) else None
-            if value is None:
-                return None
-            orders.add(v.order)
-            row[c] = value.numerator if value.denominator == 1 else value
-        rows.append(row)
-    return (orders.pop(), rows) if len(orders) == 1 else None
 
 
 def _minimal_by_constraint_cuts(basis, ambient, unit_coords):

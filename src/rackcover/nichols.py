@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braiding import BraidedSpace, quadratic_analysis
-from .cyclotomic import CycScalar, euler_phi
+from .cyclotomic import CycScalar, Field
 from .errors import BoundExceededError, InternalCheckError
 from .groups import identity_perm, perm_compose
 from .linalg import (
@@ -316,10 +316,10 @@ class GradedBasis:
       candidate, its certified combination else.
     `max_cols` bounds the candidate count d * dim B^(n-1).
 
-    When phi(N) = 1 (N <= 2) the field is Q, and the elimination, the
-    derivations and `_right` hold plain ints, with a Fraction only where a
-    division needs one.  Scalars leave the engine as CycScalars of the
-    cocycle order, through `vectors`, `right` and `coordinates`."""
+    The elimination, the derivations and `_right` run over the `Field` of
+    1 and the braiding scalars q(y,x); scalars leave the engine as
+    CycScalars of the cocycle order, through `vectors`, `right` and
+    `coordinates`."""
 
     def __init__(
         self,
@@ -337,9 +337,11 @@ class GradedBasis:
         self._vectors: list[dict[int, CycScalar]] | None = None
         self._span: IncrementalSpan | None = None
         self._exported_right: list[list[dict]] | None = None
-        N = space.cocycle.order
-        self._plain = euler_phi(N) == 1
-        rack = space.rack
+        d, rack, cocycle = space.dim, space.rack, space.cocycle
+        q = [[cocycle.value(y, x) for x in range(d)] for y in range(d)]
+        self.field = field = Field(
+            [CycScalar.one(cocycle.order)] + [v for row in q for v in row]
+        )
         if degree == 0:
             self.tags = [0]
             self.derivations: list[dict] = [{}]
@@ -350,15 +352,13 @@ class GradedBasis:
             previous = self._previous = GradedBasis(space, degree - 1, max_cols)
         elif previous.degree != degree - 1:
             raise ValueError("previous component must have degree one lower")
-        d = space.dim
         count = d * previous.dim
         if count > max_cols:
             raise BoundExceededError(
                 f"degree {degree} needs {count} candidate columns, bound is {max_cols}"
             )
-        one = self._internal(CycScalar.one(N))
-        q = [[self._internal(CycScalar.root_of_unity(N, space.cocycle.exponent(y, x)))
-              for x in range(d)] for y in range(d)]
+        one = field.one
+        q = [[field.internal(v) for v in row] for row in q]
         orbit_of = {x: k for k, block in enumerate(rack.orbits()) for x in block}
         grade_ids: dict = {}
         grades = []  # (inner image, orbit counts) of every candidate word
@@ -410,29 +410,18 @@ class GradedBasis:
                         position[k]: value for k, value in span.combination.items()
                     }
 
-    def _internal(self, scalar: CycScalar):
-        """A scalar of the cocycle field as the engine holds it."""
-        return scalar.coeffs[0] if self._plain else scalar
-
-    def _exported(self, value) -> CycScalar:
-        """An engine scalar as a CycScalar of the cocycle order."""
-        if self._plain:
-            return CycScalar.rational(value, self.space.cocycle.order)
-        return value
-
     @property
     def dim(self) -> int:
         return len(self.tags)
 
     @property
     def right(self) -> list[list[dict[int, CycScalar]]]:
-        """right[x][j]: coordinates of b_j v_x in this basis, over the
-        cocycle field; over Q they are exported on first use."""
-        if not self._plain:
-            return self._right
+        """right[x][j]: coordinates of b_j v_x in this basis, exported on
+        first use."""
         if self._exported_right is None:
+            export = self.field.export
             self._exported_right = [
-                [{i: self._exported(v) for i, v in row.items()} for row in rows]
+                [{i: export(v) for i, v in row.items()} for row in rows]
                 for rows in self._right
             ]
         return self._exported_right
@@ -455,7 +444,7 @@ class GradedBasis:
                     vector: dict[int, CycScalar] = {}
                     for y, coeffs in blocks.items():
                         for i, coeff in coeffs.items():
-                            coeff = self._exported(coeff)
+                            coeff = self.field.export(coeff)
                             add_terms(vector, (
                                 (w * d + y, coeff * value)
                                 for w, value in lower[i].items()

@@ -385,16 +385,17 @@ def test_determinant_formula_all_catalog_orbits():
         space_const_minus_one(reflections_d4_rack()),
         cartan_zeta3_space(),
     ]
-    from rackcover.linalg import determinant
+    from rackcover.linalg import determinant, rank_kernel
 
     for space in spaces:
-        for analysis in quadratic_analysis(space).analyses:
-            orbit = analysis.orbit
+        for orbit in quadratic_analysis(space).orbits:
             m = orbit.size
+            matrix = orbit.one_plus_c_matrix()
             expected = CycScalar.one() + orbit.lam * ((-1) ** (m - 1))
-            assert analysis.determinant == expected
-            assert determinant(orbit.one_plus_c_matrix()) == expected
-            assert analysis.nullity in (0, 1)
+            assert determinant(matrix) == expected
+            nullity = m - rank_kernel(matrix)[0]
+            assert nullity == orbit.kernel_dim
+            assert nullity in (0, 1)
 
 
 def test_predicates():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from rackcover.cyclotomic import (
     CycScalar,
+    Field,
     cyclotomic_polynomial,
     euler_phi,
     parse_scalar,
@@ -242,3 +243,45 @@ def test_formatting_is_pinned(make, text, rep, json_form, root, rational):
     assert value.as_rational() == rational
     if rational is not None:
         assert type(value.as_rational()) is Fraction
+
+
+# --- the field of one computation --------------------------------------------
+
+
+def test_field_one():
+    # rational inputs give Q, whose unit is the int 1; any other input gives
+    # Q(zeta_M), whose unit is a CycScalar of order M
+    assert Field([CycScalar.one(4), CycScalar.rational(-1, 4)]).one == 1
+    assert type(Field([CycScalar.one(4)]).one) is int
+    assert Field([]).one == 1 and Field([]).rational
+    one = Field([CycScalar.one(2), root_of_unity(3)]).one
+    assert type(one) is CycScalar and one.order == 6 and one == 1
+
+
+def test_field_order_is_the_lcm():
+    assert Field([CycScalar.one(4), CycScalar.rational(3, 6)]).order == 12
+    assert Field([root_of_unity(4), CycScalar.one(2)]).order == 4
+    assert Field([root_of_unity(3), CycScalar.rational(Fraction(1, 2))]).order == 3
+    assert Field([CycScalar.zero(5)]).order == 5
+    assert Field([]).order == 1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 12])
+def test_field_internal_export_round_trip(order):
+    # over Q a value is held as an int, or a Fraction when not integral, and
+    # comes back stored at order M; over Q(zeta_M) both maps are the identity
+    values = [CycScalar.rational(v, order) for v in (0, 1, -1, 7, Fraction(-2, 3))]
+    field = Field(values)
+    assert field.rational and field.order == order
+    held = [field.internal(v) for v in values]
+    assert held == [0, 1, -1, 7, Fraction(-2, 3)]
+    assert [type(v) for v in held] == [int, int, int, int, Fraction]
+    for value, back in zip(values, map(field.export, held)):
+        assert type(back) is CycScalar
+        assert (back.order, back.coeffs) == (value.order, value.coeffs)
+    if order > 2:
+        cyclic = Field(values + [root_of_unity(order)])
+        assert not cyclic.rational and cyclic.order == order
+        for value in values:
+            assert cyclic.internal(value) is value
+            assert cyclic.export(value) is value

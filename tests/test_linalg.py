@@ -6,7 +6,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from rackcover.cyclotomic import CycScalar, root_of_unity
+from rackcover.cyclotomic import CycScalar, Field, root_of_unity
 from rackcover.errors import BoundExceededError, InternalCheckError, NonSquareError
 from rackcover.linalg import (
     ExactMatrix,
@@ -404,7 +404,8 @@ def test_support_minimal_rational_values_keep_their_stored_order():
         dim = rng.randint(2, 5)
         ambient = rng.randint(dim + 1, 12)
         basis = rational_at(random_rref_basis(rng, ambient, dim, 1), 3)
-        assert linalg._over_rationals(basis)[0] == 3
+        field = Field(v for vec in basis for v in vec.values())
+        assert field.rational and field.order == 3
         found = support_minimal_vectors(basis, ambient)
         assert_same_stored_scalars(found, reference_support_minimal_vectors(basis, ambient))
         assert all(v.order == 3 for _, vec in found[0] for v in vec.values())
@@ -412,23 +413,51 @@ def test_support_minimal_rational_values_keep_their_stored_order():
         mixed = [dict(vec) for vec in basis]
         row = mixed[rng.randrange(dim)]
         row[rng.choice([c for c in range(ambient) if c not in row])] = z3
-        assert linalg._over_rationals(mixed) is None
+        assert not Field(v for vec in mixed for v in vec.values()).rational
         assert_same_stored_scalars(
             support_minimal_vectors(mixed, ambient),
             reference_support_minimal_vectors(mixed, ambient),
         )
 
 
-def test_support_minimal_field_choice():
+def test_support_minimal_field_choice(monkeypatch):
+    # the search runs over the Field of the spanning entries: over Q it
+    # eliminates Python numbers, else the CycScalars as given
     one, z4 = CycScalar.one, root_of_unity(4)
-    assert linalg._over_rationals([{0: one(2), 1: CycScalar.rational(Fraction(1, 2), 2)}]) == (
-        2, [{0: 1, 1: Fraction(1, 2)}]
-    )
-    # one order throughout, every value rational, every value a CycScalar
-    assert linalg._over_rationals([{0: one(2)}, {1: one(1)}]) is None
-    assert linalg._over_rationals([{0: one(4), 1: z4}]) is None
-    assert linalg._over_rationals([{0: 1}]) is None
-    assert linalg._over_rationals([]) is None
+    seen = []
+    eliminate = linalg._eliminate
+
+    def spy(rows):
+        seen.extend(type(v) for row in rows for v in row.values())
+        return eliminate(rows)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    half = CycScalar.rational(Fraction(1, 2), 2)
+    found, _ = support_minimal_vectors([{0: one(2), 1: half}, {1: one(2), 2: one(2)}], 3)
+    assert set(seen) == {int, Fraction}
+    assert all(v.order == 2 for _, vec in found for v in vec.values())
+    seen.clear()
+    support_minimal_vectors([{0: one(4), 1: z4}, {1: one(4), 2: one(4)}], 3)
+    assert set(seen) == {CycScalar}
+
+
+def test_support_minimal_mixed_rational_orders_come_back_at_the_lcm():
+    # rational values, the first row stored at order 2 and the others at
+    # order 3, are searched over Q; every vector found is stored at order 6
+    # and equals by value the search over CycScalars
+    rng = random.Random(151)
+    count = 0
+    for _ in range(6):
+        dim = rng.randint(2, 5)
+        ambient = rng.randint(dim + 1, 12)
+        basis = random_rref_basis(rng, ambient, dim, 1)
+        mixed = rational_at(basis[:1], 2) + rational_at(basis[1:], 3)
+        found = support_minimal_vectors(mixed, ambient)
+        assert found == reference_support_minimal_vectors(mixed, ambient)
+        for _, vec in found[0]:
+            assert all(type(v) is CycScalar and v.order == 6 for v in vec.values())
+            count += 1
+    assert count
 
 
 def test_support_minimal_cut_vector_check(monkeypatch):

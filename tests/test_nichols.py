@@ -332,6 +332,30 @@ def test_engine_dims_match_dense_oracle(name):
     assert dims == oracle_graded_dims(space, degrees[-1])
 
 
+def test_engine_runs_sign_valued_order_four_cocycle_over_ints():
+    # q == zeta_4^2 = -1 takes rational values only, so the engine holds
+    # ints as for const:-1, keeps the same words in every degree, and
+    # exports the same values at order 4
+    rack = transpositions_rack(4)
+    quartic = BraidedSpace(rack, Cocycle.constant(rack, 4, 2))
+    minus_one = space_const_minus_one(rack)
+    basis = sign = None
+    for degree in range(7):
+        basis = GradedBasis(quartic, degree, previous=basis)
+        sign = GradedBasis(minus_one, degree, previous=sign)
+        held = [v for blocks in basis.derivations for coeffs in blocks.values()
+                for v in coeffs.values()]
+        held += [v for rows in basis._right for row in rows for v in row.values()]
+        assert all(type(v) is int for v in held)
+        assert (basis.dim, basis.tags) == (sign.dim, sign.tags)
+        assert basis.right == sign.right
+        assert basis.vectors == sign.vectors
+        exported = [v for rows in basis.right for row in rows for v in row.values()]
+        if degree >= 2:
+            exported += [v for vector in basis.vectors for v in vector.values()]
+        assert all(type(v) is CycScalar and v.order == 4 for v in exported)
+
+
 def _bracket_series(*brackets):
     """Coefficients of the product of (k)_t = 1 + t + ... + t^(k-1)."""
     coeffs = [1]

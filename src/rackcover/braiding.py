@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .cyclotomic import CycScalar
+from .cyclotomic import MAX_ORDER, CycScalar
 from .errors import InternalCheckError, ValidationError, malformed, require_int
 from .linalg import ExactMatrix, add_terms, determinant, rank_kernel
 from .racks import Rack, transposition_elements, transpositions_rack
@@ -30,7 +30,7 @@ class Cocycle:
     """q: X x X -> roots of unity, stored as exponents over one order N.
 
     The order and the exponents must be ints (a bool is not taken for
-    one); the exponents are stored reduced mod N."""
+    one), with 1 <= N <= MAX_ORDER; the exponents are stored reduced mod N."""
 
     rack: Rack
     order: int
@@ -40,6 +40,8 @@ class Cocycle:
         message = "cocycle order N = {value!r} is not a positive integer"
         if require_int(self.order, message) < 1:
             raise ValidationError(message.format(value=self.order))
+        if self.order > MAX_ORDER:
+            raise ValidationError(f"cocycle order N = {self.order} exceeds {MAX_ORDER}")
         n = self.rack.n
         if len(self.exponents) != n or any(len(r) != n for r in self.exponents):
             raise ValidationError("cocycle exponent table has wrong shape")
@@ -171,14 +173,12 @@ class OrbitData:
     """One orbit of c on X x X with its tensor-line data.
 
     pairs: the orbit in cyclic order starting at its minimal pair.
-    theta_exponents[i]: exponent e_i with theta_i = zeta^e_i * basis word i.
     lam: the scalar with c^m acting by it on the orbit line.
     kernel_dim: 1 when lambda = (-1)^m (then sum (-1)^i theta_i spans the
     kernel of 1 + c on the block), else 0.
     """
 
     pairs: tuple[tuple[int, int], ...]
-    theta_exponents: tuple[int, ...]
     lam: CycScalar
     kernel_dim: int
     is_diagonal: bool
@@ -221,12 +221,10 @@ def c_orbits(space: BraidedSpace) -> list[OrbitData]:
             if start in seen:
                 continue
             pairs = []
-            exps = []
             acc = 0
             cur = start
             while True:
                 pairs.append(cur)
-                exps.append(acc % N)
                 seen.add(cur)
                 acc += space.cocycle.exponent(*cur)
                 cur = space.c_index(*cur)
@@ -244,7 +242,6 @@ def c_orbits(space: BraidedSpace) -> list[OrbitData]:
             kernel_dim = 1 if lam == sign else 0
             orbit = OrbitData(
                 pairs=tuple(pairs),
-                theta_exponents=tuple(exps),
                 lam=lam,
                 kernel_dim=kernel_dim,
                 is_diagonal=(m == 1 and x == y),

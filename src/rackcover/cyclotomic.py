@@ -3,9 +3,16 @@
 An element is stored by its coordinates in the power basis
 1, z, ..., z^(phi(N)-1) of Q[z]/(Phi_N(z)), where Phi_N is the N-th
 cyclotomic polynomial and z stands for a primitive N-th root of unity.
-A coordinate is an `int` when it is integral and a `fractions.Fraction`
-otherwise, never a float; every operation is exact and there is no
-floating point anywhere in this module.
+They are held as a tuple `num` of ints over one int `den` > 0 in lowest
+terms, gcd(den, *num) == 1, so den == 1 exactly when the value is
+integral and equal values of one order are stored alike.  Sums and
+products are integer polynomial arithmetic, with one gcd only where a
+denominator is not 1; `coeffs` reads the coordinates as ints, and as
+Fractions where not integral.  There is no floating point anywhere.
+
+The inverse of an integral a != 0 is prod sigma_k(a) / N(a), over the
+Galois automorphisms sigma_k: z -> z^k for the units k != 1 mod N; the
+norm N(a) = a * prod sigma_k(a) is an integer.
 
 Operands of the same order combine coordinate by coordinate and lift
 nothing; a product reduces through a cached table of the coordinates of
@@ -24,7 +31,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+
+from .errors import ValidationError
+
+# the largest root-of-unity order an input may name; a product costs
+# phi(N)^2 and an inverse phi(N)^3 coordinate operations
+MAX_ORDER = 1000
 
 
 @lru_cache(maxsize=None)
@@ -86,26 +99,19 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _norm(c):
-    """A coordinate as an int when it is integral, else as a Fraction."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 def _reduce(coeffs, order: int) -> tuple:
-    """Reduce a polynomial in z modulo Phi_order; returns phi(order) coords."""
+    """Reduce an integer polynomial in z modulo Phi_order; returns phi(order)
+    coords."""
     deg = euler_phi(order)
-    phi = cyclotomic_polynomial(order)
+    phi = [(i, c) for i, c in enumerate(cyclotomic_polynomial(order)) if c]
     coeffs = list(coeffs)
     for k in range(len(coeffs) - 1, deg - 1, -1):
         lead = coeffs[k]
         if lead:
             # subtract lead * x^(k-deg) * Phi (Phi is monic)
-            for i, c in enumerate(phi):
+            for i, c in phi:
                 coeffs[k - deg + i] -= lead * c
-    coeffs = [_norm(c) for c in coeffs[:deg]]
-    return tuple(coeffs + [0] * (deg - len(coeffs)))
+    return tuple(coeffs[:deg] + [0] * (deg - len(coeffs)))
 
 
 @lru_cache(maxsize=None)
@@ -127,41 +133,64 @@ def _high_powers(order: int) -> tuple:
 
 
 def _times(a: tuple, b: tuple, order: int) -> tuple:
-    """Coordinates of the product of two elements of Q(zeta_order)."""
-    if len(a) == 1:
-        return (_norm(a[0] * b[0]),)
+    """Integer coordinates of the product of two elements of Z[zeta_order]."""
     deg = len(a)
-    prod = _polymul(a, b)
+    if deg == 1:
+        return (a[0] * b[0],)
+    if deg == 2:
+        # the fields of order 3, 4 and 6, with z^2 = u0 + u1 z
+        u0, u1 = _unit_power(order, 2)
+        a0, a1 = a
+        b0, b1 = b
+        top = a1 * b1
+        return (a0 * b0 + top * u0, a0 * b1 + a1 * b0 + top * u1)
+    prod = [0] * (2 * deg - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                prod[i + j] += x * y
     for k, row in enumerate(_high_powers(order), start=deg):
         lead = prod[k]
         if lead:
             for i, c in row:
                 prod[i] += lead * c
-    return tuple([_norm(c) for c in prod[:deg]])
+    return tuple(prod[:deg])
 
 
 class CycScalar:
-    """An element of Q(zeta_N), exact.
+    """An element of Q(zeta_N), exact: the coordinates num / den.
 
     Instances are immutable. Construct via :meth:`rational`,
     :meth:`root_of_unity`, or the module helpers; arithmetic uses the
     usual operators and accepts ints and Fractions on either side.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
         deg = euler_phi(order)
-        coeffs = tuple(c if type(c) is int else _norm(Fraction(c)) for c in coeffs)
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(coeffs) != deg:
             raise ValueError(
                 f"need {deg} coordinates for order {order}, got {len(coeffs)}"
             )
+        # over the lcm of the denominators, the coordinates share no factor
+        den = lcm(*[c.denominator for c in coeffs])
         _set_order(self, order)
-        _set_coeffs(self, coeffs)
+        _set_num(self, tuple([c.numerator * (den // c.denominator) for c in coeffs]))
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("CycScalar is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coordinates: ints, and Fractions where not integral."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple([Fraction(c, den) if c % den else c // den for c in self.num])
 
     # --- constructors -------------------------------------------------
 
@@ -185,150 +214,144 @@ class CycScalar:
 
     @classmethod
     def from_root_counts(cls, order: int, counts) -> "CycScalar":
-        """Sum of counts[k] * zeta_order^k, one reduction at the end."""
+        """Sum of the int counts[k] * zeta_order^k, one reduction at the end."""
         return _make(order, _reduce(counts, order))
 
     # --- coercion helpers ----------------------------------------------
 
     def lift(self, new_order: int) -> "CycScalar":
-        """Image under Q(zeta_N) -> Q(zeta_M), z_N -> z_M^(M/N); needs N | M."""
+        """Image under Q(zeta_N) -> Q(zeta_M), z_N -> z_M^(M/N); needs N | M.
+        It keeps lowest terms, as Z[zeta_M] meets Q(zeta_N) in Z[zeta_N]."""
         if new_order == self.order:
             return self
         if new_order % self.order:
             raise ValueError(f"{self.order} does not divide {new_order}")
         step = new_order // self.order
-        poly = [0] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
+        poly = [0] * ((len(self.num) - 1) * step + 1)
+        for i, c in enumerate(self.num):
             poly[i * step] = c
-        return _make(new_order, _reduce(poly, new_order))
-
-    @staticmethod
-    def _coerce(value) -> "CycScalar":
-        if isinstance(value, CycScalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return CycScalar.rational(value)
-        return NotImplemented
+        return _make(new_order, _reduce(poly, new_order), self.den)
 
     def _pair(self, other):
-        """Both operands' coordinates at the lcm m of their orders, and m;
-        None if `other` is not a scalar.  Equal orders lift nothing, and a
-        rational meets an order-m element as (r, 0, ..., 0)."""
+        """Both operands as numerators and denominators at the lcm m of
+        their orders, (a, da, b, db, m); None if `other` is not a scalar.
+        Equal orders lift nothing, and a rational meets an order-m element
+        as (r, 0, ..., 0)."""
         if isinstance(other, CycScalar):
-            b, m = other.coeffs, other.order
+            b, db, m = other.num, other.den, other.order
         elif isinstance(other, (int, Fraction)):
-            b, m = (_norm(other),), 1
+            b, db, m = (other.numerator,), other.denominator, 1
         else:
             return None
-        a, n = self.coeffs, self.order
+        a, da, n = self.num, self.den, self.order
         if n == m:
-            return a, b, n
+            return a, da, b, db, n
         if m == 1:
-            return a, b + (0,) * (len(a) - 1), n
+            return a, da, b + (0,) * (len(a) - 1), db, n
         if n == 1:
-            return a + (0,) * (len(b) - 1), b, m
-        lcm = n * m // gcd(n, m)
-        if n != lcm:
-            a = self.lift(lcm).coeffs
-        if m != lcm:
-            b = other.lift(lcm).coeffs
-        return a, b, lcm
+            return a + (0,) * (len(b) - 1), da, b, db, m
+        both = lcm(n, m)
+        x, y = self.lift(both), other.lift(both)
+        return x.num, x.den, y.num, y.den, both
 
     # --- predicates -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         # false exactly for zero, as for Python numbers
-        return any(self.coeffs)
+        return any(self.num)
 
     def as_rational(self) -> Fraction | None:
         """The element as a Fraction if it is rational, else None."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             # might still be rational in disguise (e.g. z_3 + z_3^2 = -1)?
             # no: the power basis is a basis, rationals have a unique form.
             return None
-        return Fraction(self.coeffs[0])
+        return Fraction(self.num[0], self.den)
 
     # --- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b, m = pair
-        return _make(m, tuple([_norm(x + y) for x, y in zip(a, b)]))
+        if isinstance(other, CycScalar) and other.order == self.order:
+            a, da, b, db, m = self.num, self.den, other.num, other.den, self.order
+        else:
+            pair = self._pair(other)
+            if pair is None:
+                return NotImplemented
+            a, da, b, db, m = pair
+        if da == db:
+            return _make(m, tuple([x + y for x, y in zip(a, b)]), da)
+        return _make(m, tuple([x * db + y * da for x, y in zip(a, b)]), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.order, tuple([-c for c in self.coeffs]))
+        return _make(self.order, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b, m = pair
-        return _make(m, tuple([_norm(x - y) for x, y in zip(a, b)]))
+        if isinstance(other, CycScalar) and other.order == self.order:
+            a, da, b, db, m = self.num, self.den, other.num, other.den, self.order
+        else:
+            pair = self._pair(other)
+            if pair is None:
+                return NotImplemented
+            a, da, b, db, m = pair
+        if da == db:
+            return _make(m, tuple([x - y for x, y in zip(a, b)]), da)
+        return _make(m, tuple([x * db - y * da for x, y in zip(a, b)]), da * db)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, CycScalar):
-            if other.order == self.order:
-                return _make(self.order, _times(self.coeffs, other.coeffs, self.order))
+            n = self.order
+            if other.order == n:
+                return _make(n, _times(self.num, other.num, n), self.den * other.den)
             if other.order == 1:
-                return self._scaled(other.coeffs[0])
-            if self.order == 1:
-                return other._scaled(self.coeffs[0])
+                return self._scaled(other.num[0], other.den)
+            if n == 1:
+                return other._scaled(self.num[0], self.den)
         elif isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._scaled(other.numerator, other.denominator)
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b, m = pair
-        return _make(m, _times(a, b, m))
+        a, da, b, db, m = pair
+        return _make(m, _times(a, b, m), da * db)
 
     __rmul__ = __mul__
 
-    def _scaled(self, r) -> "CycScalar":
-        return _make(self.order, tuple([_norm(c * r) for c in self.coeffs]))
+    def _scaled(self, r: int, d: int) -> "CycScalar":
+        # self * r / d
+        return _make(self.order, tuple([c * r for c in self.num]), self.den * d)
 
     def inverse(self) -> "CycScalar":
-        """Multiplicative inverse: one rational division when phi(N) = 1,
-        else the extended Euclidean algorithm on (self, Phi_N) in Q[x]."""
-        if self.is_zero:
+        """Multiplicative inverse, den / a for the integral a = num, with
+        1 / a by the norm (see the module docstring)."""
+        a, n = self.num, self.order
+        if not any(a):
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
-        n = self.order
-        if len(self.coeffs) == 1:
-            return _make(n, (_norm(1 / Fraction(self.coeffs[0])),))
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r0, r1 = phi, [Fraction(c) for c in self.coeffs]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 = gcd = nonzero constant (Phi_N irreducible, self != 0)
-        const = next(c for c in r0 if c)
-        if any(c for i, c in enumerate(r0) if i and c):
-            raise ArithmeticError("gcd with Phi_N not constant")
-        return _make(n, _reduce([c / const for c in s0], n))
+        rest = (1,) + (0,) * (len(a) - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                poly = [0] * n
+                for i, c in enumerate(a):
+                    poly[i * k % n] = c
+                rest = _times(rest, _reduce(poly, n), n)
+        norm = _times(a, rest, n)[0]
+        return _make(n, tuple([c * self.den for c in rest]), norm)
 
     def __truediv__(self, other):
-        other = CycScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            other = CycScalar.rational(other)
+        return self * other.inverse() if isinstance(other, CycScalar) else NotImplemented
 
     def __rtruediv__(self, other):
-        other = CycScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        return self.inverse() * other if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -351,8 +374,9 @@ class CycScalar:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b, _m = pair
-        return a == b
+        # lowest terms with den > 0 are unique
+        a, da, b, db, _m = pair
+        return da == db and a == b
 
     # equal values can live at different orders, so there is no cheap
     # canonical form to hash; forbid set/dict membership instead.
@@ -386,9 +410,10 @@ class CycScalar:
 
     def as_root_string(self) -> str | None:
         """'N k' if the element equals zeta_N^k for some k, else None."""
-        for k in range(self.order):
-            if self.coeffs == _unit_power(self.order, k):
-                return f"{self.order} {k}"
+        if self.den == 1:
+            for k in range(self.order):
+                if self.num == _unit_power(self.order, k):
+                    return f"{self.order} {k}"
         return None
 
     def to_json(self):
@@ -405,54 +430,26 @@ class CycScalar:
 
 _new = object.__new__
 _set_order = CycScalar.order.__set__
-_set_coeffs = CycScalar.coeffs.__set__
+_set_num = CycScalar.num.__set__
+_set_den = CycScalar.den.__set__
 
 
-def _make(order: int, coeffs: tuple) -> CycScalar:
-    """A CycScalar from coordinates already reduced and normalized; the
-    arithmetic's results skip the validation of `CycScalar.__init__`."""
+def _make(order: int, num: tuple, den: int = 1) -> CycScalar:
+    """The CycScalar num / den from reduced int coordinates, brought to
+    lowest terms with den > 0; the arithmetic's results skip the
+    validation of `CycScalar.__init__`."""
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
     scalar = _new(CycScalar)
     _set_order(scalar, order)
-    _set_coeffs(scalar, coeffs)
+    _set_num(scalar, num)
+    _set_den(scalar, den)
     return scalar
-
-
-def _polydivmod(num, den):
-    num = list(num)
-    dn = len(den)
-    while dn and not den[dn - 1]:
-        dn -= 1
-    if dn == 0:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(num) - dn + 1)
-    for k in range(len(q) - 1, -1, -1):
-        factor = num[k + dn - 1] / den[dn - 1]
-        q[k] = factor
-        if factor:
-            for i in range(dn):
-                num[k + i] -= factor * den[i]
-    while num and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _polymul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 class Field:
@@ -472,8 +469,8 @@ class Field:
     def __init__(self, scalars):
         order, rational = 1, True
         for s in scalars:
-            order = order * s.order // gcd(order, s.order)
-            rational = rational and not any(s.coeffs[1:])
+            order = lcm(order, s.order)
+            rational = rational and not any(s.num[1:])
         self.order = order
         self.rational = rational
         self.one = 1 if rational else CycScalar.one(order)
@@ -489,15 +486,16 @@ def root_of_unity(order: int, k: int = 1) -> CycScalar:
     return CycScalar.root_of_unity(order, k)
 
 
-def rational(value, order: int = 1) -> CycScalar:
-    return CycScalar.rational(value, order)
-
-
 def parse_scalar(text: str) -> CycScalar:
     """Parse 'N k' (a root of unity) or a bare rational like '-1' or '2/3'."""
     parts = text.split()
     if len(parts) == 2:
-        return CycScalar.root_of_unity(int(parts[0]), int(parts[1]))
+        order = int(parts[0])
+        if not 1 <= order <= MAX_ORDER:
+            raise ValidationError(
+                f"scalar {text!r} needs a root-of-unity order in 1..{MAX_ORDER}"
+            )
+        return CycScalar.root_of_unity(order, int(parts[1]))
     if len(parts) == 1:
         return CycScalar.rational(Fraction(parts[0]))
     raise ValueError(f"cannot parse scalar {text!r}")

@@ -545,11 +545,10 @@ def minimal_elements(
 
 @dataclass(frozen=True)
 class RelatorSet:
-    """Word pairs p ~ q read off the minimal supports of one degree, plus
-    the derived free-group relators p q^-1."""
+    """The free-group relators p q^-1 of the word pairs p ~ q read off
+    the minimal supports of one degree."""
 
     degree: int
-    pairs: tuple[tuple[RackWord, RackWord], ...]
     relators: tuple[Word, ...]
 
 
@@ -580,7 +579,7 @@ def covering_relators(
     per_degree = []
     all_relators: list[Word] = []
     for degree in range(2, max_degree + 1):
-        pairs: list[tuple[RackWord, RackWord]] = []
+        relators: list[Word] = []
         try:
             elements = minimal_elements(space, degree, max_cols)
         except BoundExceededError as err:
@@ -596,11 +595,8 @@ def covering_relators(
                 if degree == 2:
                     if space.c_index(*q) == p:
                         p, q = q, p
-                pairs.append((p, q))
-        relators = tuple(_pair_to_relator(p, q) for p, q in pairs)
-        per_degree.append(
-            RelatorSet(degree=degree, pairs=tuple(pairs), relators=relators)
-        )
+                relators.append(_pair_to_relator(p, q))
+        per_degree.append(RelatorSet(degree=degree, relators=tuple(relators)))
         all_relators.extend(relators)
     presentation = Presentation.make(space.dim, all_relators)
     return CoveringRelators(

@@ -267,13 +267,19 @@ def test_orbits_partition_and_lambda_by_iteration():
 
 
 def test_theta_exponents_track_cocycle_products():
+    # theta_i = c^i(pairs[0]) = zeta^e_i pairs[i], with e_0 = 0 and
+    # e_(i+1) = e_i + q-exponent of pairs[i]; c on theta_(m-1) gives lam theta_0
     space = chi_space(3)
+    cocycle = space.cocycle
     for orbit in c_orbits(space):
-        scalars = [root_of_unity(space.cocycle.order, e) for e in orbit.theta_exponents]
-        assert scalars[0] == 1
-        for i in range(1, orbit.size):
-            x, y = orbit.pairs[i - 1]
-            assert scalars[i] == scalars[i - 1] * space.cocycle.value(x, y)
+        exponents = [0]
+        for i, pair in enumerate(orbit.pairs):
+            assert space.c_index(*pair) == orbit.pairs[(i + 1) % orbit.size]
+            exponents.append(exponents[-1] + cocycle.exponent(*pair))
+        scalars = [root_of_unity(cocycle.order, e) for e in exponents]
+        for i, (x, y) in enumerate(orbit.pairs):
+            assert scalars[i + 1] == scalars[i] * cocycle.value(x, y)
+        assert scalars[-1] == orbit.lam
 
 
 def test_fk_census_formula_table():

@@ -358,6 +358,21 @@ MALFORMED = [
     ("datum-bool-degree", _datum_with("deg", [True]), ["hopf", "bosonize", "--datum"]),
     ("datum-bool-target", _datum_with("action", [[[True, "2 0"]], [[True, "2 1"]]]),
      ["hopf", "bosonize", "--datum"]),
+    # root-of-unity orders are bounded by cyclotomic.MAX_ORDER, and positive
+    ("cocycle-huge-order-dims", {"N": 100000000000, "exp": [[1] * 3] * 3},
+     ["nichols", "dims", "--builtin", "transpositions:3", "--max-degree", "3",
+      "--cocycle", "file:"]),
+    ("cocycle-huge-order-check", {"N": 100000000000, "exp": [[1] * 3] * 3},
+     ["braid", "check", "--builtin", "transpositions:3", "--cocycle", "file:"]),
+    ("cocycle-order-above-bound", {"N": 1000003, "exp": [[1]]},
+     ["nichols", "dims", "--builtin", "abelian:1", "--max-degree", "3",
+      "--cocycle", "file:"]),
+    ("datum-huge-scalar-order", _datum_with("action", [[[1, "100000000000 1"]], [[1, "2 1"]]]),
+     ["hopf", "bosonize", "--datum"]),
+    ("datum-zero-scalar-order", _datum_with("action", [[[1, "0 1"]], [[1, "2 1"]]]),
+     ["hopf", "bosonize", "--datum"]),
+    ("datum-negative-scalar-order", _datum_with("action", [[[1, "-3 1"]], [[1, "2 1"]]]),
+     ["hopf", "bosonize", "--datum"]),
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rackcover.cyclotomic import (
+    MAX_ORDER,
     CycScalar,
     Field,
     cyclotomic_polynomial,
@@ -13,6 +15,7 @@ from rackcover.cyclotomic import (
     parse_scalar,
     root_of_unity,
 )
+from rackcover.errors import ValidationError
 
 
 def test_cyclotomic_polynomials_small():
@@ -119,6 +122,16 @@ def test_parse_scalar():
         parse_scalar("a b c")
 
 
+@pytest.mark.parametrize("text", ["0 1", "-3 1", f"{MAX_ORDER + 1} 1", "100000000000 1"])
+def test_parse_scalar_bounds_the_order(text):
+    with pytest.raises(ValidationError, match=re.escape(repr(text))):
+        parse_scalar(text)
+
+
+def test_parse_scalar_takes_the_largest_order():
+    assert parse_scalar(f"{MAX_ORDER} {MAX_ORDER // 2}") == -1
+
+
 def test_root_string_round_trip():
     for n in (2, 3, 4, 6):
         for k in range(n):
@@ -166,11 +179,17 @@ def _mul_ref(a, b, order):
 
 def _check(result, order, coords):
     """`result` is `coords` at `order`, with every coordinate an int or a
-    non-integral Fraction."""
+    non-integral Fraction, stored as int numerators over one positive
+    denominator in lowest terms, which is 1 exactly when `coords` are
+    integral."""
     assert result.order == order
     assert list(result.coeffs) == coords
     for c in result.coeffs:
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), result
+    num, den = result.num, result.den
+    assert all(type(c) is int for c in num) and type(den) is int
+    assert den > 0 and gcd(den, *num) == 1
+    assert (den == 1) == all(Fraction(c).denominator == 1 for c in coords)
 
 
 @pytest.mark.parametrize("n", ORDERS)

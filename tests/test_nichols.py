@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -10,7 +11,7 @@ from rackcover.cyclotomic import CycScalar, root_of_unity
 from rackcover.errors import BoundExceededError, InternalCheckError
 from rackcover import nichols
 from rackcover.groups import identity_perm, perm_compose
-from rackcover.linalg import IncrementalSpan
+from rackcover.linalg import IncrementalSpan, rank_kernel
 from rackcover.nichols import (
     GradedBasis,
     GradedReport,
@@ -356,6 +357,40 @@ def test_engine_runs_sign_valued_order_four_cocycle_over_ints():
         assert all(type(v) is CycScalar and v.order == 4 for v in exported)
 
 
+def test_engine_over_zeta6_meets_non_integral_coordinates():
+    # the constant order-6 cocycle on the tetrahedron rack: the engine runs
+    # over Q(zeta_6), and dividing by non-unit pivots leaves 58 of the 2901
+    # degree-6 right multiplications with non-integral coordinates
+    space = _constant_space("tetrahedron", 6)
+    basis, dims = None, []
+    for degree in range(7):
+        basis = GradedBasis(space, degree, previous=basis)
+        dims.append(basis.dim)
+        if degree <= 4:
+            assert basis.dim == rank_kernel(symmetrizer_matrix(space, degree))[0]
+    assert dims == [1, 4, 12, 33, 88, 232, 596]
+    entries = [v for rows in basis.right for row in rows for v in row.values()]
+    assert len(entries) == 2901
+    assert sum(any(type(c) is Fraction for c in v.coeffs) for v in entries) == 58
+
+
+def test_engine_over_zeta3_builds_no_fraction(monkeypatch):
+    # Q(zeta_3) arithmetic holds int coordinates over one denominator, so
+    # the transpositions:3 series builds no Fraction at all
+    built = []
+    original = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+    report = hilbert_series(_constant_space("transpositions:3", 3), 5)
+    assert report.dims == (1, 3, 9, 21, 50, 111)
+    assert built == []
+    assert Fraction(1, 3) and len(built) == 1  # the spy sees a construction
+
+
 def _bracket_series(*brackets):
     """Coefficients of the product of (k)_t = 1 + t + ... + t^(k-1)."""
     coeffs = [1]
@@ -641,11 +676,11 @@ def test_covering_relators_serre_cubic():
     degree3 = result.per_degree[1]
     assert degree2.relators == ()
     assert degree3.relators != ()
-    # every degree-3 relator involves three letters of mixed kind and dies
-    # in the abelianization (it is a commutation-type relation)
-    for p, q in degree3.pairs:
-        assert sorted(p) == sorted(q)
-        assert p != q
+    # every degree-3 relator p q^-1 pairs two distinct words with equal
+    # letters, so it dies in the abelianization (a commutation-type relation)
+    for relator in degree3.relators:
+        assert relator
+        assert sorted(x for x in relator if x > 0) == sorted(-x for x in relator if x < 0)
     free_rank, torsion = abelianization(result.presentation)
     assert free_rank == 2 and torsion == ()
 

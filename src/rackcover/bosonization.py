@@ -37,9 +37,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import lcm
 
 from .braiding import BraidedSpace
-from .cyclotomic import CycScalar, Field, parse_scalar
+from .cyclotomic import MAX_ORDER, CycScalar, Field, parse_scalar
 from .errors import (
     AxiomFailsError,
     BoundExceededError,
@@ -852,6 +853,12 @@ def datum_from_json(data: dict) -> YDDatum:
             if len(row) != rack.n or not all(1 <= t <= rack.n for t in targets):
                 raise ValidationError("action rows need one [x' in 1..n, scalar] per x")
             action[g] = tuple((t - 1, parse_scalar(e[1])) for t, e in zip(targets, row))
+    # arithmetic runs at the lcm of its operands' orders
+    common = lcm(cocycle.order, *[s.order for row in action.values() for _t, s in row])
+    if common > MAX_ORDER:
+        raise ValidationError(
+            f"datum scalars and cocycle meet at root-of-unity order {common}, "
+            f"above {MAX_ORDER}")
     datum = YDDatum(BraidedSpace(rack, cocycle), group, degrees, action)
     yd_verify(datum)
     return datum

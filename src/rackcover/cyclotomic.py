@@ -12,7 +12,9 @@ Fractions where not integral.  There is no floating point anywhere.
 
 The inverse of an integral a != 0 is prod sigma_k(a) / N(a), over the
 Galois automorphisms sigma_k: z -> z^k for the units k != 1 mod N; the
-norm N(a) = a * prod sigma_k(a) is an integer.
+norm N(a) = a * prod sigma_k(a) is an integer.  It is formed coset by
+coset along a chain of subgroups of the units, each cyclic step by
+doubling: O(log phi(N)) products a step, not one per unit.
 
 Operands of the same order combine coordinate by coordinate and lift
 nothing; a product reduces through a cached table of the coordinates of
@@ -35,8 +37,9 @@ from math import gcd, lcm
 
 from .errors import ValidationError
 
-# the largest root-of-unity order an input may name; a product costs
-# phi(N)^2 and an inverse phi(N)^3 coordinate operations
+# the largest root-of-unity order an input may name, alone or as the lcm
+# of a datum's orders; a product costs phi(N)^2 coordinate operations and
+# an inverse O(log phi(N)) products
 MAX_ORDER = 1000
 
 
@@ -158,6 +161,15 @@ def _times(a: tuple, b: tuple, order: int) -> tuple:
     return tuple(prod[:deg])
 
 
+def _substitute(a: tuple, k: int, order: int) -> tuple:
+    """Coordinates at `order` of a(z^k): sigma_k(a) if a has this order,
+    the lift of a if it has order order / k."""
+    poly = [0] * order
+    for i, c in enumerate(a):
+        poly[i * k % order] = c
+    return _reduce(poly, order)
+
+
 class CycScalar:
     """An element of Q(zeta_N), exact: the coordinates num / den.
 
@@ -226,11 +238,8 @@ class CycScalar:
             return self
         if new_order % self.order:
             raise ValueError(f"{self.order} does not divide {new_order}")
-        step = new_order // self.order
-        poly = [0] * ((len(self.num) - 1) * step + 1)
-        for i, c in enumerate(self.num):
-            poly[i * step] = c
-        return _make(new_order, _reduce(poly, new_order), self.den)
+        return _make(new_order, _substitute(self.num, new_order // self.order, new_order),
+                     self.den)
 
     def _pair(self, other):
         """Both operands as numerators and denominators at the lcm m of
@@ -275,13 +284,10 @@ class CycScalar:
     # --- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, CycScalar) and other.order == self.order:
-            a, da, b, db, m = self.num, self.den, other.num, other.den, self.order
-        else:
-            pair = self._pair(other)
-            if pair is None:
-                return NotImplemented
-            a, da, b, db, m = pair
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, da, b, db, m = pair
         if da == db:
             return _make(m, tuple([x + y for x, y in zip(a, b)]), da)
         return _make(m, tuple([x * db + y * da for x, y in zip(a, b)]), da * db)
@@ -292,13 +298,10 @@ class CycScalar:
         return _make(self.order, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, CycScalar) and other.order == self.order:
-            a, da, b, db, m = self.num, self.den, other.num, other.den, self.order
-        else:
-            pair = self._pair(other)
-            if pair is None:
-                return NotImplemented
-            a, da, b, db, m = pair
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, da, b, db, m = pair
         if da == db:
             return _make(m, tuple([x - y for x, y in zip(a, b)]), da)
         return _make(m, tuple([x * db - y * da for x, y in zip(a, b)]), da * db)
@@ -335,15 +338,26 @@ class CycScalar:
         a, n = self.num, self.order
         if not any(a):
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
-        rest = (1,) + (0,) * (len(a) - 1)
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                poly = [0] * n
-                for i, c in enumerate(a):
-                    poly[i * k % n] = c
-                rest = _times(rest, _reduce(poly, n), n)
-        norm = _times(a, rest, n)[0]
-        return _make(n, tuple([c * self.den for c in rest]), norm)
+        # c = a * rest is the product of sigma_h(a) over a subgroup `seen`
+        # of the units mod n, grown one cyclic step g at a time until c is
+        # the integer N(a); each step multiplies in sigma_g^j(c), 0 < j < e,
+        # by doubling, for the least e with g^e in `seen`
+        rest, c, seen = (1,) + (0,) * (len(a) - 1), a, {1}
+        for g in range(2, n):
+            if g in seen or gcd(g, n) != 1:
+                continue
+            powers = [1]
+            while (h := powers[-1] * g % n) not in seen:
+                powers.append(h)
+            p, m = c, 1  # p = prod of sigma_g^j(c) for j < m
+            for bit in bin(len(powers) - 1)[3:]:
+                p, m = _times(p, _substitute(p, powers[m], n), n), 2 * m
+                if bit == "1":
+                    p, m = _times(p, _substitute(c, powers[m], n), n), m + 1
+            b = _substitute(p, g, n)
+            rest, c = _times(rest, b, n), _times(c, b, n)
+            seen = {x * h % n for x in seen for h in powers}
+        return _make(n, tuple([x * self.den for x in rest]), c[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

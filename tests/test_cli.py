@@ -373,6 +373,13 @@ MALFORMED = [
      ["hopf", "bosonize", "--datum"]),
     ("datum-negative-scalar-order", _datum_with("action", [[[1, "-3 1"]], [[1, "2 1"]]]),
      ["hopf", "bosonize", "--datum"]),
+    # each order is in bound, but their lcm is not
+    ("datum-cocycle-and-scalar-orders-coprime",
+     {**_datum_with("cocycle", {"N": 991, "exp": [[0]]}),
+      "action": [[[1, "997 0"]], [[1, "2 1"]]]},
+     ["hopf", "bosonize", "--datum"]),
+    ("datum-scalar-orders-coprime", _datum_with("action", [[[1, "997 0"]], [[1, "991 1"]]]),
+     ["hopf", "bosonize", "--datum"]),
 ]
 
 

@@ -106,6 +106,23 @@ def test_field_axioms_randomized():
                 assert (a ** 3) * (a ** -3) == 1
 
 
+@pytest.mark.parametrize("n", (5, 8, 15, 16, 24, 27, 50, 101))
+def test_inverse_over_each_shape_of_unit_group(n):
+    # cyclic unit groups (5, 27, 50, 101: a long doubling chain), products
+    # of two or three cyclic groups (8, 15, 24), and 16, where the cyclic
+    # groups of 3 and 5 meet in {1, 9}
+    rng = random.Random(n)
+    deg = euler_phi(n)
+    for density in (1.0, 0.3):
+        coords = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  if rng.random() < density else 0 for _ in range(deg)]
+        coords[0] = coords[0] or 1  # nonzero
+        a = CycScalar(n, coords)
+        inverse = a.inverse()
+        _check(inverse, n, _lift_ref(inverse, n))
+        assert _mul_ref(_lift_ref(a, n), list(inverse.coeffs), n) == _lift_ref(CycScalar.one(n), n)
+
+
 def test_power_matches_repeated_product():
     z = root_of_unity(12, 5)
     acc = CycScalar.one()

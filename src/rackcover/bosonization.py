@@ -694,7 +694,7 @@ class HopfCoveringMap:
 
 
 def covering_map_check(
-    source: YDDatum, target: YDDatum, hom, cutoff: int, max_dim: int = 5000
+    source: YDDatum, target: YDDatum, hom, cutoff: int
 ) -> HopfCoveringMap:
     """Verify that the group surjection induces a Hopf covering of slices.
 
@@ -702,9 +702,11 @@ def covering_map_check(
     agrees with the target), every fiber of f has |ker f| elements (so the
     basis map b # h -> b # f(h) is |ker f| to one, reported as
     `lifts_per_element`), and the induced basis map is an algebra morphism
-    in closed degrees and a coalgebra morphism everywhere.  The minimal
-    elements of degrees 2..cutoff are only counted, as
-    `minimal_elements_checked`; their lifts are not checked one by one."""
+    in closed degrees and a coalgebra morphism everywhere.  The words of
+    each minimal element of degrees 2..cutoff have one degree in the
+    source group, so the relators the covering group is presented by hold
+    there; they are counted as `minimal_elements_checked`, and their
+    lifts are not checked one by one."""
     from .nichols import minimal_elements as _minimal_elements
 
     group_h = source.group
@@ -744,8 +746,8 @@ def covering_map_check(
     if set(map(len, fibers.values())) != {len(kernel)}:
         raise InternalCheckError("fiber sizes differ")
 
-    slice_h = build_slice(source, cutoff, max_dim)
-    slice_g = build_slice(target, cutoff, max_dim)
+    slice_h = build_slice(source, cutoff)
+    slice_g = build_slice(target, cutoff)
 
     def push(key: BasisKey) -> BasisKey:
         n, i, gi = key
@@ -773,13 +775,21 @@ def covering_map_check(
             raise YDDatumError("NotCompatible", ("coproduct", key))
         coalgebra_checked += 1
 
-    minimal = []
+    # a minimal element's words lie in one braid-group orbit, and a braid
+    # move keeps the product of the degrees
+    minimal_checked = 0
     for degree in range(2, cutoff + 1):
-        minimal.extend(_minimal_elements(source.space, degree))
+        for element in _minimal_elements(source.space, degree):
+            first, *rest = map(source.degree_of_word, element.words)
+            if any(g != first for g in rest):
+                raise InternalCheckError(
+                    f"minimal element {element.words} spans several degrees"
+                )
+            minimal_checked += 1
     return HopfCoveringMap(
         kernel_size=len(kernel),
         lifts_per_element=len(kernel),
-        minimal_elements_checked=len(minimal),
+        minimal_elements_checked=minimal_checked,
         algebra_checked=algebra_checked,
         coalgebra_checked=coalgebra_checked,
     )

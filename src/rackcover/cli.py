@@ -706,6 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
 # and Table 5.2 starts at n = 3
 _BOUND_MINIMUM = {"max_degree": 0, "cutoff": 0, "max_cols": 1, "max_dim": 1,
                   "max_cosets": 1, "n_max": 3}
+# the greatest --max-degree: the kernel dimension d^n of the top degree
+# still prints as a JSON integer for every d below about 20000
+MAX_DEGREE = 1000
 
 
 def _check_bounds(args):
@@ -715,6 +718,9 @@ def _check_bounds(args):
             flag = "--" + name.replace("_", "-")
             least = "nonnegative" if minimum == 0 else f"at least {minimum}"
             raise ValidationError(f"{flag} must be {least}, got {value}")
+    degree = getattr(args, "max_degree", None)
+    if degree is not None and degree > MAX_DEGREE:
+        raise ValidationError(f"--max-degree must be at most {MAX_DEGREE}, got {degree}")
 
 
 def main(argv=None) -> int:
@@ -729,9 +735,6 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except RackcoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,17 +1,17 @@
 """Exact sparse linear algebra over Q(zeta_N), plus integer Smith normal form.
 
 Matrices are stored sparsely (no zero entries, one entry per position) and
-all elimination runs in exact field arithmetic.  Both eliminators choose
-their pivot columns for sparsity, because the matrices arising from quantum
-symmetrizers and braided derivations are monomial-sparse:
-
-* `_eliminate` (behind `rank_kernel`, and the reduced basis the support
-  search starts from) sees all rows at once and pivots on the column with
-  the fewest nonzeros among the active rows;
-* `IncrementalSpan` (behind every graded component) sees one vector at a
-  time and pivots on the residual column that the fewest stored pivot
-  tails hold, so that later vectors meet the new pivot as seldom as
-  possible.
+all elimination runs in exact field arithmetic.  One eliminator,
+`IncrementalSpan`, serves every graded component, coordinate solve, rank
+and kernel: it sees one vector at a time and pivots on the residual column
+that the fewest stored pivot tails hold, so that later vectors meet the new
+pivot as seldom as possible, since the matrices arising from quantum
+symmetrizers and braided derivations are monomial-sparse.  `rank_kernel`
+feeds it the columns of a matrix; `support_minimal_vectors` feeds it the
+spanning vectors and walks the vanishing-coordinate cuts of the kept ones,
+one pivot step (`_cut`) per constraint.  `determinant` keeps its own
+row-swap elimination, so that it checks the ranks of the 1 + c blocks
+independently of the span.
 
 Sparse vectors, here and in the modules built on this one, are dicts
 key -> scalar that never store a zero.  Only the kernel adds into them:
@@ -30,16 +30,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, lcm
 
 from .cyclotomic import CycScalar, Field
 from .errors import BoundExceededError, InternalCheckError, NonSquareError
 
 Vector = dict[int, CycScalar]
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def add_terms(target: dict, terms) -> None:
@@ -90,7 +86,7 @@ class ExactMatrix:
                 value = CycScalar.rational(value)
             if value.is_zero:
                 continue
-            order = _lcm(order, value.order)
+            order = lcm(order, value.order)
             cleaned[(r, c)] = value
         self.order = order
         self.entries = {
@@ -124,64 +120,21 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _eliminate(rows: list[Vector]) -> list[tuple[int, Vector]]:
-    """Sparse Gauss-Jordan. Returns [(pivot_col, reduced_row)] with every
-    pivot column appearing in exactly its own row, pivot coefficient 1.
-
-    Pivot column choice: fewest nonzeros among active rows, ties by column
-    index; pivot row: fewest nonzeros, ties by original position.  This is
-    deterministic, so results do not depend on dict iteration quirks.
-    """
-    active = [dict(r) for r in rows if r]
-    pivots: list[tuple[int, Vector]] = []
-    while active:
-        counts: dict[int, int] = {}
-        for row in active:
-            for col in row:
-                counts[col] = counts.get(col, 0) + 1
-        col = min(counts, key=lambda c: (counts[c], c))
-        best_i = min(
-            (i for i, row in enumerate(active) if col in row),
-            key=lambda i: (len(active[i]), i),
-        )
-        pivot = active.pop(best_i)
-        inv = inverse(pivot[col])
-        pivot = {c: v * inv for c, v in pivot.items()}
-        # clear `col` from the active rows and, back-substituting, from the
-        # earlier pivot rows: row -= row[col] * pivot, which drops row[col]
-        # and adds row[col] * neg_tail
-        hits = [row for row in active if col in row]
-        hits += [prow for _, prow in pivots if col in prow]
-        if hits:
-            neg_tail = {c: -v for c, v in pivot.items() if c != col}
-            for row in hits:
-                axpy(row, row.pop(col), neg_tail)
-        active = [row for row in active if row]
-        pivots.append((col, pivot))
-    pivots.sort(key=lambda t: t[0])
-    return pivots
-
-
 def rank_kernel(matrix: ExactMatrix) -> tuple[int, list[Vector]]:
-    """Exact rank and a basis of the right kernel {v : A v = 0}.
-
-    The returned basis vectors are verified against the matrix; a failure
-    here is a bug, not bad input.
-    """
-    pivots = _eliminate(matrix.row_dicts())
-    pivot_cols = {col for col, _ in pivots}
+    """Exact rank and a basis of the right kernel {v : A v = 0}: the
+    columns go into one span, and each column c it does not keep gives
+    e_c - sum w_k e_k, w its certified `combination`.  The kernel vectors
+    are verified against the matrix; a failure is a bug, not bad input."""
+    columns = matrix.columns()
+    one = CycScalar.one(matrix.order)
+    span = IncrementalSpan()
     kernel: list[Vector] = []
-    for free in range(matrix.cols):
-        if free in pivot_cols:
-            continue
-        vec: Vector = {free: CycScalar.one(matrix.order)}
-        for col, row in pivots:
-            coeff = row.get(free)
-            if coeff is not None:
-                vec[col] = -coeff
-        kernel.append(vec)
+    for c in range(matrix.cols):
+        if not span.add(columns.get(c, {}), c):
+            vec: Vector = {c: one}
+            vec.update((k, -w) for k, w in span.combination.items())
+            kernel.append(vec)
     # A v = sum of v[c] * (column c), so one column index serves every vector
-    columns = matrix.columns() if kernel else {}
     for vec in kernel:
         image: Vector = {}
         add_terms(image, (
@@ -191,13 +144,15 @@ def rank_kernel(matrix: ExactMatrix) -> tuple[int, list[Vector]]:
         ))
         if image:
             raise InternalCheckError("kernel vector not annihilated")
-    if len(pivots) + len(kernel) != matrix.cols:
+    if span.dim + len(kernel) != matrix.cols:
         raise InternalCheckError("rank + nullity != cols")
-    return len(pivots), kernel
+    return span.dim, kernel
 
 
 def determinant(matrix: ExactMatrix) -> CycScalar:
-    """Exact determinant by fraction Gaussian elimination with row swaps."""
+    """Exact determinant by fraction Gaussian elimination with row swaps,
+    kept apart from `IncrementalSpan` so that it checks `rank_kernel` on
+    the 1 + c blocks independently."""
     if matrix.rows != matrix.cols:
         raise NonSquareError(f"{matrix.rows}x{matrix.cols} matrix")
     n = matrix.rows
@@ -461,12 +416,14 @@ def abelian_invariants(matrix: list[list[int]], ngens: int) -> tuple[int, tuple[
 # Support-minimal vectors of a subspace
 # ---------------------------------------------------------------------------
 
-# the largest ambient dimension the support search takes
+# the largest ambient dimension, and the most constraint subsets, the
+# support search takes
 MAX_SUPPORT_AMBIENT = 64
+MAX_SUPPORT_SUBSETS = 500_000
 
 
 def support_minimal_vectors(
-    spanning: list[Vector], ambient: int, max_subsets: int = 500_000
+    spanning: list[Vector], ambient: int
 ) -> tuple[list[tuple[tuple[int, ...], Vector]], set[int]]:
     """All inclusion-minimal supports (size >= 2) of nonzero vectors in
     span(spanning), plus the set of coordinates i with e_i in the span.
@@ -474,13 +431,12 @@ def support_minimal_vectors(
     Each returned support comes with its vector, which is unique up to a
     scalar; it is normalized so its first nonzero coordinate is 1.
 
-    With k the dimension of the span, every minimal-support vector is cut
-    out (up to scalar) by some k-1 vanishing-coordinate constraints of full
-    rank.  So the C(ambient, k-1) constraint subsets give a candidate set
-    whose inclusion-minimal supports are exactly the answer; `max_subsets`
+    With k the dimension of the span, the minimal-support vectors are the
+    one-dimensional cuts of k-1 vanishing-coordinate constraints, so the
+    C(ambient, k-1) constraint subsets give the answer; MAX_SUPPORT_SUBSETS
     bounds that count, and MAX_SUPPORT_AMBIENT bounds `ambient`.
-    `_minimal_by_constraint_cuts` walks the subsets.  The search runs
-    over the `Field` of the spanning entries.
+    `_minimal_by_constraint_cuts` walks the subsets from the spanning
+    vectors that one `IncrementalSpan` keeps, over their `Field`.
     """
     if ambient > MAX_SUPPORT_AMBIENT:
         raise BoundExceededError(
@@ -488,23 +444,22 @@ def support_minimal_vectors(
         )
     field = Field(v for vec in spanning for v in vec.values())
     internal = field.internal
-    pivots = _eliminate([{c: internal(v) for c, v in vec.items()} for vec in spanning])
-    basis = [row for _, row in pivots]
-    dim = len(basis)
-    if dim == 0:
+    vectors = [{c: internal(v) for c, v in vec.items()} for vec in spanning]
+    span = IncrementalSpan()
+    for tag, vec in enumerate(vectors):
+        span.add(vec, tag)
+    if span.dim == 0:
         return [], set()
+    unit_coords = {
+        i for i in range(ambient) if span.coordinates({i: field.one}) is not None
+    }
 
-    # coordinates whose unit vector lies in the span: in reduced row
-    # echelon form, e_i is in the span exactly when i is a pivot column
-    # whose row is e_i itself
-    unit_coords = {col for col, row in pivots if len(row) == 1}
-
-    cut_cost = comb(ambient, dim - 1)
-    if cut_cost > max_subsets:
+    cut_cost = comb(ambient, span.dim - 1)
+    if cut_cost > MAX_SUPPORT_SUBSETS:
         raise BoundExceededError(
-            f"support search needs {cut_cost} subsets, bound is {max_subsets}"
+            f"support search needs {cut_cost} subsets, bound is {MAX_SUPPORT_SUBSETS}"
         )
-    found = _minimal_by_constraint_cuts(basis, ambient, unit_coords)
+    found = _minimal_by_constraint_cuts([vectors[t] for t in span.kept], ambient)
     found.sort(key=lambda t: (len(t[0]), t[0]))
     export = field.export
     found = [
@@ -513,20 +468,22 @@ def support_minimal_vectors(
     return found, unit_coords
 
 
-def _minimal_by_constraint_cuts(basis, ambient, unit_coords):
-    """Candidate vectors from all (dim-1)-subsets of vanishing constraints
-    whose cut is one-dimensional; inclusion-minimal candidate supports are
-    exactly the minimal supports.
+def _minimal_by_constraint_cuts(basis, ambient):
+    """The normalized vectors cut out by the (dim-1)-subsets of vanishing
+    constraints whose cut is one-dimensional, one per support of size >= 2.
 
     The subsets are walked depth first in lexicographic order.  A node
     holds a basis of its cut {v in span : v_i = 0 for i chosen}, as
     ambient vectors, and a child's cut is one pivot step away (`_cut`).
     A constraint that no basis vector holds depends on the earlier ones,
     so every subset through it cuts out a space of dimension >= 2 and its
-    subtree is skipped.  A leaf's single vector is the candidate.
+    subtree is skipped.  A leaf's vector v spans its cut, so a nonzero
+    vector of the span whose support lies in v's vanishes on the chosen
+    constraints and has v's support: every leaf support is minimal, and a
+    unit coordinate only makes a leaf of size 1.
     """
     dim = len(basis)
-    candidates: dict[frozenset, Vector] = {}
+    found: dict[frozenset, Vector] = {}
 
     def walk(cut, chosen, start):
         if len(chosen) == dim - 1:
@@ -534,8 +491,8 @@ def _minimal_by_constraint_cuts(basis, ambient, unit_coords):
             if any(i in vec for i in chosen):
                 raise InternalCheckError("cut vector does not vanish on its constraints")
             support = frozenset(vec)
-            if len(support) >= 2 and not support & unit_coords and support not in candidates:
-                candidates[support] = _normalized(vec)
+            if len(support) >= 2 and support not in found:
+                found[support] = _normalized(vec)
             return
         # leave room for the constraints still to be chosen after i
         for i in range(start, ambient - dim + 2 + len(chosen)):
@@ -543,11 +500,7 @@ def _minimal_by_constraint_cuts(basis, ambient, unit_coords):
                 walk(_cut(cut, i), chosen + (i,), i + 1)
 
     walk(basis, (), 0)
-    supports = list(candidates)
-    minimal = [
-        s for s in supports if not any(t < s for t in supports if t != s)
-    ]
-    return [(tuple(sorted(s)), candidates[s]) for s in minimal]
+    return [(tuple(sorted(s)), vec) for s, vec in found.items()]
 
 
 def _cut(vectors: list[Vector], coord: int) -> list[Vector]:

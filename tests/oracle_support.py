@@ -2,30 +2,82 @@
 
 This is the constraint-cut search as it stood before the depth-first walk
 in `rackcover.linalg`: for every (dim-1)-subset of coordinates it builds the
-constraint matrix and solves its kernel with `rank_kernel`, sharing nothing
-between subsets.  It is slow and independent of the walk's pivot steps, so
-the two must agree on every input.
+constraint matrix and solves its kernel, sharing nothing between subsets,
+then keeps the inclusion-minimal supports.  Its basis and every kernel come
+from `_eliminate`, a batch sparse Gauss-Jordan of its own, so it shares no
+elimination with the program's `IncrementalSpan` and `_cut`.  It is slow
+and independent of the walk's pivot steps, so the two must agree on every
+input.
 """
 
 from itertools import combinations
 
-from rackcover.linalg import ExactMatrix, _combination, _eliminate, _normalized, rank_kernel
+from rackcover.linalg import _combination, _normalized, axpy, inverse
+
+
+def _eliminate(rows):
+    """Sparse Gauss-Jordan. Returns [(pivot_col, reduced_row)] with every
+    pivot column appearing in exactly its own row, pivot coefficient 1.
+
+    Pivot column choice: fewest nonzeros among active rows, ties by column
+    index; pivot row: fewest nonzeros, ties by original position.  This is
+    deterministic, so results do not depend on dict iteration quirks.
+    """
+    active = [dict(r) for r in rows if r]
+    pivots = []
+    while active:
+        counts = {}
+        for row in active:
+            for col in row:
+                counts[col] = counts.get(col, 0) + 1
+        col = min(counts, key=lambda c: (counts[c], c))
+        best_i = min(
+            (i for i, row in enumerate(active) if col in row),
+            key=lambda i: (len(active[i]), i),
+        )
+        pivot = active.pop(best_i)
+        inv = inverse(pivot[col])
+        pivot = {c: v * inv for c, v in pivot.items()}
+        # clear `col` from the active rows and, back-substituting, from the
+        # earlier pivot rows: row -= row[col] * pivot
+        hits = [row for row in active if col in row]
+        hits += [prow for _, prow in pivots if col in prow]
+        if hits:
+            neg_tail = {c: -v for c, v in pivot.items() if c != col}
+            for row in hits:
+                axpy(row, row.pop(col), neg_tail)
+        active = [row for row in active if row]
+        pivots.append((col, pivot))
+    pivots.sort(key=lambda t: t[0])
+    return pivots
+
+
+def _kernel_line(rows, ncols):
+    """The kernel vector of the rows when the kernel is one line, else None:
+    e_free minus the free column of each reduced row."""
+    pivots = _eliminate(rows)
+    if ncols - len(pivots) != 1:
+        return None
+    (free,) = set(range(ncols)) - {col for col, _ in pivots}
+    vec = {free: 1}
+    for col, row in pivots:
+        if free in row:
+            vec[col] = -row[free]
+    return vec
 
 
 def reference_minimal_by_constraint_cuts(basis, ambient, unit_coords):
     dim = len(basis)
     candidates = {}
     for constraint in combinations(range(ambient), dim - 1):
-        entries = {}
-        for j, vec in enumerate(basis):
-            for r, coord in enumerate(constraint):
-                value = vec.get(coord)
-                if value is not None:
-                    entries[(r, j)] = value
-        _, kernel = rank_kernel(ExactMatrix(dim - 1, dim, entries))
-        if len(kernel) != 1:
+        rows = [
+            {j: vec[coord] for j, vec in enumerate(basis) if coord in vec}
+            for coord in constraint
+        ]
+        line = _kernel_line(rows, dim)
+        if line is None:
             continue
-        out = _combination(basis, kernel[0])
+        out = _combination(basis, line)
         support = frozenset(out)
         if len(support) < 2 or support & unit_coords or support in candidates:
             continue
@@ -35,9 +87,8 @@ def reference_minimal_by_constraint_cuts(basis, ambient, unit_coords):
     return [(tuple(sorted(s)), candidates[s]) for s in minimal]
 
 
-def reference_support_minimal_vectors(spanning, ambient, **bounds):
-    """`support_minimal_vectors` on the reference search; the bounds are
-    accepted and ignored, so it can stand in for the real one."""
+def reference_support_minimal_vectors(spanning, ambient):
+    """`support_minimal_vectors` on the reference search."""
     pivots = _eliminate(spanning)
     basis = [row for _, row in pivots]
     if not basis:

@@ -20,7 +20,7 @@ from rackcover.cyclotomic import CycScalar, root_of_unity
 from rackcover.envgroup import hom_from_generator_images
 from rackcover.errors import AxiomFailsError, InternalCheckError, ValidationError, YDDatumError
 from rackcover.groups import FiniteGroup
-from rackcover.nichols import GradedBasis
+from rackcover.nichols import GradedBasis, MinimalElement, minimal_elements
 from rackcover.racks import transpositions_rack
 from rackcover.racks import transposition_elements
 from tests.oracle_hopf import oracle_verify_hopf
@@ -423,6 +423,20 @@ def test_covering_c6_to_c2():
     result = covering_map_check(source, target, hom, cutoff=2)
     assert result.kernel_size == 3
     assert result.lifts_per_element == 3
+
+
+def test_covering_checks_the_degree_of_each_minimal_element(monkeypatch):
+    # each minimal element's words have one degree in S_3; an element whose
+    # words t0 t1 and t0 t0 have the degrees t0 t1 and 1 is caught
+    datum = s3_chi_datum()
+    hom = hom_from_generator_images(datum.group, datum.group, datum.group.generators)
+    result = covering_map_check(datum, datum, hom, cutoff=2)
+    assert result.minimal_elements_checked == len(minimal_elements(datum.space, 2)) > 0
+    one = CycScalar.one()
+    mixed = MinimalElement(2, ((0, 0), (0, 1)), (((0, 0), one), ((0, 1), one)))
+    monkeypatch.setattr("rackcover.nichols.minimal_elements", lambda space, degree: [mixed])
+    with pytest.raises(InternalCheckError, match="several degrees"):
+        covering_map_check(datum, datum, hom, cutoff=2)
 
 
 def test_covering_rejects_nontrivial_kernel_action():

@@ -330,6 +330,11 @@ MALFORMED = [
      ["braid", "check", "--builtin", "transpositions:3", "--cocycle", "file:"]),
     ("cocycle-float-order", {"N": 2.0, "exp": [[1] * 3] * 3},
      ["braid", "quadratic", "--builtin", "transpositions:3", "--cocycle", "file:"]),
+    # d^n at a degree far past the bound overflowed the int-to-string limit
+    # of the JSON output with a traceback
+    ("max-degree-above-bound", {"N": 2, "exp": [[1] * 3] * 3},
+     ["nichols", "dims", "--builtin", "transpositions:3", "--max-degree", "9100",
+      "--cocycle", "file:"]),
     ("group-no-degree", {"generators": [[2, 1]]},
      ["group", "coverings", "--images", "2", "--target", "SELF", "--group"]),
     ("group-bad-table", {"order": 2, "table": 5},
@@ -476,6 +481,18 @@ def test_negative_degree_bound_exits_one(tmp_path, capsys, command):
     assert out == ""
     assert err == f"error: {flag} must be {LEAST[flag]}, got {value}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rack,cocycle,degree", [
+    ("transpositions:3", "chi", 9100), ("abelian:2", "const:-1", 15000)])
+def test_max_degree_above_bound_exits_one(capsys, rack, cocycle, degree):
+    argv = ["nichols", "dims", "--builtin", rack, "--cocycle", cocycle, "--no-meta"]
+    code, out, err = run(capsys, *argv, "--max-degree", str(degree))
+    assert (code, out) == (1, "")
+    assert err == f"error: --max-degree must be at most 1000, got {degree}\n"
+    # the bound itself is taken, and d^1000 prints
+    code, out, _ = run(capsys, *argv, "--max-degree", "1000")
+    assert code == 0 and json.loads(out)["result"]["kernel_dims"][-1] > 0
 
 
 # sha256 of the --no-meta stdout as the README promises it byte-stable; a

@@ -21,8 +21,7 @@ from rackcover.linalg import (
     support_minimal_vectors,
 )
 from rackcover import linalg
-from rackcover.linalg import _eliminate
-from tests.oracle_support import reference_support_minimal_vectors
+from tests.oracle_support import _eliminate, reference_support_minimal_vectors
 
 
 def orbit_matrix(m, lam):
@@ -92,16 +91,21 @@ def test_orbit_matrix_m4_lambda1():
 
 def test_rank_kernel_checks_every_kernel_vector(monkeypatch):
     # the check multiplies each kernel vector through the column index: a
-    # zero column stays free and passes, a wrong pivot row is caught
+    # zero column is dependent on nothing and passes, a wrong certified
+    # combination is caught
     matrix = ExactMatrix(1, 3, {(0, 0): 1, (0, 1): 1})
     rank, kernel = rank_kernel(matrix)
     assert rank == 1
-    assert {2: CycScalar.one()} in kernel
-    monkeypatch.setattr(
-        "rackcover.linalg._eliminate",
-        lambda rows: [(0, {0: CycScalar.one(), 1: CycScalar.rational(2)})],
-    )
-    with pytest.raises(InternalCheckError):
+    assert kernel == [{1: CycScalar.one(), 0: -CycScalar.one()}, {2: CycScalar.one()}]
+    add = IncrementalSpan.add
+
+    def doubled_combination(self, vector, tag):
+        kept = add(self, vector, tag)
+        self.combination = {k: 2 * w for k, w in self.combination.items()}
+        return kept
+
+    monkeypatch.setattr(IncrementalSpan, "add", doubled_combination)
+    with pytest.raises(InternalCheckError, match="annihilated"):
         rank_kernel(matrix)
 
 
@@ -421,17 +425,17 @@ def test_support_minimal_rational_values_keep_their_stored_order():
 
 
 def test_support_minimal_field_choice(monkeypatch):
-    # the search runs over the Field of the spanning entries: over Q it
-    # eliminates Python numbers, else the CycScalars as given
+    # the search runs over the Field of the spanning entries: over Q its
+    # span holds Python numbers, else the CycScalars as given
     one, z4 = CycScalar.one, root_of_unity(4)
     seen = []
-    eliminate = linalg._eliminate
+    add = IncrementalSpan.add
 
-    def spy(rows):
-        seen.extend(type(v) for row in rows for v in row.values())
-        return eliminate(rows)
+    def spy(self, vector, tag):
+        seen.extend(type(v) for v in vector.values())
+        return add(self, vector, tag)
 
-    monkeypatch.setattr(linalg, "_eliminate", spy)
+    monkeypatch.setattr(IncrementalSpan, "add", spy)
     half = CycScalar.rational(Fraction(1, 2), 2)
     found, _ = support_minimal_vectors([{0: one(2), 1: half}, {1: one(2), 2: one(2)}], 3)
     assert set(seen) == {int, Fraction}
@@ -439,6 +443,35 @@ def test_support_minimal_field_choice(monkeypatch):
     seen.clear()
     support_minimal_vectors([{0: one(4), 1: z4}, {1: one(4), 2: one(4)}], 3)
     assert set(seen) == {CycScalar}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_support_minimal_ignores_spanning_order_and_dependents(order):
+    # the walk starts from the spanning vectors one span keeps, which
+    # depend on their order; the supports, vectors, stored orders and unit
+    # coordinates must not
+    rng = random.Random(300 + order)
+    kept_differ = False
+    for _ in range(8):
+        dim = rng.randint(1, 5)
+        ambient = rng.randint(dim + 1, 11)
+        basis = random_rref_basis(rng, ambient, dim, order)
+        expected = support_minimal_vectors(basis, ambient)
+        for _ in range(3):
+            spanning = [dict(vec) for vec in basis]
+            for _ in range(rng.randint(1, 3)):
+                combo = {}
+                for vec in rng.sample(basis, rng.randint(1, dim)):
+                    axpy(combo, _random_scalar(rng, order), vec)
+                if combo:
+                    spanning.append(combo)
+            rng.shuffle(spanning)
+            span = IncrementalSpan()
+            for tag, vec in enumerate(spanning):
+                span.add(vec, tag)
+            kept_differ |= [spanning[t] for t in span.kept] != basis
+            assert_same_stored_scalars(support_minimal_vectors(spanning, ambient), expected)
+    assert kept_differ
 
 
 def test_support_minimal_mixed_rational_orders_come_back_at_the_lcm():
@@ -473,13 +506,15 @@ def test_support_minimal_cut_vector_check(monkeypatch):
         support_minimal_vectors(vectors, 4)
 
 
-def test_support_minimal_subset_bound():
+def test_support_minimal_subset_bound(monkeypatch):
     # dim 3 in ambient 8 cuts with C(8, 2) = 28 constraint sets
     vectors = [as_vec([1, 0, 0, 1, 1, 0, 1, 0]), as_vec([0, 1, 0, 1, 0, 1, 1, 1]),
                as_vec([0, 0, 1, 0, 1, 1, 1, 2])]
+    monkeypatch.setattr(linalg, "MAX_SUPPORT_SUBSETS", 27)
     with pytest.raises(BoundExceededError, match="28 subsets"):
-        support_minimal_vectors(vectors, 8, max_subsets=27)
-    support_minimal_vectors(vectors, 8, max_subsets=28)
+        support_minimal_vectors(vectors, 8)
+    monkeypatch.setattr(linalg, "MAX_SUPPORT_SUBSETS", 28)
+    support_minimal_vectors(vectors, 8)
 
 
 # --- incremental span -------------------------------------------------------

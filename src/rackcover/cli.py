@@ -12,6 +12,7 @@ give byte-identical output when --no-meta suppresses the timestamp.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -723,9 +724,15 @@ def _check_bounds(args):
         raise ValidationError(f"--max-degree must be at most {MAX_DEGREE}, got {degree}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call of `main` and kept for
+    the process: parsing reads it and changes nothing in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_bounds(args)
         args.func(args)

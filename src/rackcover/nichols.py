@@ -15,6 +15,16 @@ of all columns of the quantum symmetrizer, and the symmetrized kept
 words are read off as iterated derivations,
 S_n[y_1 ... y_n, t] = d_{y_1} ... d_{y_n} t.
 
+Inner symmetry: g_x v_y = q(x,y) v_{x|>y}, the Yetter-Drinfeld action
+behind the braiding, commutes with c by the cocycle condition, so it
+extends to a graded automorphism of B(V).  It maps the grade (h, counts)
+onto (phi_x h phi_x^-1, counts), phi_x the translation by x, so grades
+conjugate under Inn(X) have equal dimensions.  `hilbert_series` uses this
+at its top degree only, which feeds no further degree: it eliminates one
+grade per orbit and multiplies by the orbit size.  Every lower degree,
+and every other caller, gets the full GradedBasis, since the next degree
+needs the derivations and right multiplications of every grade.
+
 The quantum symmetrizer S_n, whose image is B^n, stays for the minimal
 elements below: it is the sum, over all permutations of n letters, of the
 braid-group lifts obtained by replacing each letter s_i of a reduced word
@@ -56,7 +66,7 @@ from dataclasses import dataclass
 from .braiding import BraidedSpace, quadratic_analysis
 from .cyclotomic import CycScalar, Field
 from .errors import BoundExceededError, InternalCheckError
-from .groups import identity_perm, perm_compose
+from .groups import identity_perm, perm_compose, perm_inverse
 from .linalg import (
     ExactMatrix,
     IncrementalSpan,
@@ -228,10 +238,13 @@ def hilbert_series(
 ) -> GradedReport:
     """Graded dimensions for degrees 0..cutoff.
 
-    Each degree is built from the one below (see GradedBasis).  Once a
-    degree comes out zero, the remaining degrees are reported as zero
-    without elimination.  If a degree has more candidate columns than the
-    bound, BoundExceededError carries the partial report."""
+    Each degree is built from the one below (see GradedBasis); the top
+    degree eliminates one grade per conjugacy orbit of Inn(X) (see the
+    module docstring).  Once a degree comes out zero, the remaining
+    degrees are reported as zero without elimination.  If a degree has
+    more candidate columns d * dim B^(n-1) than the bound, whether or not
+    it eliminates them all, BoundExceededError carries the partial
+    report."""
     dims: list[int] = []
     kernel_dims: list[int] = []
     computed: list[bool] = []
@@ -244,8 +257,11 @@ def hilbert_series(
             computed.append(False)
             continue
         try:
-            basis = GradedBasis(space, n, max_cols, previous=basis)
-            rank = basis.dim
+            if n == cutoff and basis is not None:
+                rank = _dim_by_orbits(space, basis, max_cols)
+            else:
+                basis = GradedBasis(space, n, max_cols, previous=basis)
+                rank = basis.dim
         except BoundExceededError as err:
             partial = GradedReport(
                 tuple(dims), tuple(kernel_dims), n - 1, terminated_at, tuple(computed)
@@ -310,7 +326,11 @@ class GradedBasis:
     y block is delta_{xy} e_j + q(y,x) R_{y|>x} D_y e_j.  Candidates of
     different grades (inner image and orbit letter counts of the word) have
     disjoint supports, so each grade has its own IncrementalSpan, whose
-    certificate checks every dependence.  Each degree keeps for the next:
+    certificate checks every dependence.  One grade's span runs to
+    completion and is dropped before the next starts; positions are then
+    assigned in candidate order, which is tag order, so the kept words
+    and every scalar are those of one pass in candidate order.  Each
+    degree keeps for the next:
     * derivations[i] = {y: D_y e_i}, over the kept basis of B^(n-1);
     * right[x][j] = coordinates of b_j v_x in this basis: e_i for a kept
       candidate, its certified combination else.
@@ -352,63 +372,37 @@ class GradedBasis:
             previous = self._previous = GradedBasis(space, degree - 1, max_cols)
         elif previous.degree != degree - 1:
             raise ValueError("previous component must have degree one lower")
-        count = d * previous.dim
-        if count > max_cols:
-            raise BoundExceededError(
-                f"degree {degree} needs {count} candidate columns, bound is {max_cols}"
-            )
+        candidates = _Candidates(space, previous, max_cols)
+        # each grade's span runs to completion and is dropped before the
+        # next; the outcomes are read back in candidate order below
+        kept: dict[int, dict[int, dict[int, CycScalar]]] = {}  # c -> blocks
+        dependent: dict[int, dict[int, CycScalar]] = {}  # c -> combination
+        for grade in range(len(candidates.keys)):
+            for c, vector, combination in candidates.eliminate(grade):
+                if combination is not None:
+                    dependent[c] = combination
+                    continue
+                blocks: dict[int, dict[int, CycScalar]] = {}
+                for key, value in vector.items():
+                    i, y = divmod(key, d)
+                    blocks.setdefault(y, {})[i] = value
+                kept[c] = blocks
         one = field.one
-        q = [[field.internal(v) for v in row] for row in q]
-        orbit_of = {x: k for k, block in enumerate(rack.orbits()) for x in block}
-        grade_ids: dict = {}
-        grades = []  # (inner image, orbit counts) of every candidate word
-        candidate_grade = []
-        for perm, counts in previous.grades:
-            for x in range(d):
-                bumped = list(counts)
-                bumped[orbit_of[x]] += 1
-                key = (perm_compose(perm, rack.translation(x)), tuple(bumped))
-                grades.append(key)
-                candidate_grade.append(grade_ids.setdefault(key, len(grade_ids)))
-        lower_right = previous._right
-        spans: dict[int, IncrementalSpan] = {}
         position: dict[int, int] = {}
         self.tags, self.derivations, self.grades = [], [], []
         self._right = [[None] * previous.dim for _ in range(d)]
-        for j, (t, derivs) in enumerate(zip(previous.tags, previous.derivations)):
-            for x in range(d):
-                c = j * d + x
-                vector: dict[int, CycScalar] = {}
-                terms = [(c, one)]
-                for y, coeffs in derivs.items():
-                    rows = lower_right[rack.op(y, x)]
-                    qyx = q[y][x]
-                    for i2, coeff in coeffs.items():
-                        scaled = qyx * coeff
-                        terms.extend(
-                            (i * d + y, scaled * value) for i, value in rows[i2].items()
-                        )
-                add_terms(vector, terms)
-                grade = candidate_grade[c]
-                if any(candidate_grade[key] != grade for key in vector):
-                    raise InternalCheckError("derivation vector leaves its grade")
-                span = spans.get(grade)
-                if span is None:
-                    span = spans[grade] = IncrementalSpan()
-                if span.add(vector, tag=c):
-                    position[c] = len(self.tags)
-                    self._right[x][j] = {len(self.tags): one}
-                    self.tags.append(t * d + x)
-                    self.grades.append(grades[c])
-                    blocks: dict[int, dict[int, CycScalar]] = {}
-                    for key, value in vector.items():
-                        i, y = divmod(key, d)
-                        blocks.setdefault(y, {})[i] = value
-                    self.derivations.append(blocks)
-                else:
-                    self._right[x][j] = {
-                        position[k]: value for k, value in span.combination.items()
-                    }
+        for c in range(d * previous.dim):
+            j, x = divmod(c, d)
+            if c in kept:
+                position[c] = len(self.tags)
+                self._right[x][j] = {len(self.tags): one}
+                self.tags.append(previous.tags[j] * d + x)
+                self.grades.append(candidates.keys[candidates.grade_of[c]])
+                self.derivations.append(kept.pop(c))
+            else:
+                self._right[x][j] = {
+                    position[k]: value for k, value in dependent.pop(c).items()
+                }
 
     @property
     def dim(self) -> int:
@@ -473,6 +467,128 @@ class GradedBasis:
         for j, coeff in coords.items():
             axpy(out, coeff, rows[j])
         return out
+
+
+class _Candidates:
+    """The candidates of degree n = previous.degree + 1: c = j*d + x
+    stands for b_j v_x, with b_j the j-th kept element of B^(n-1).  Grade g
+    (inner image and orbit letter counts of the word t_j x) is numbered in
+    order of its first candidate; keys[g] is its key, members[g] its
+    candidates in order, and grade_of[c] the grade of c.  `max_cols`
+    bounds the candidate count d * dim B^(n-1).  The vectors are built
+    over the lower degree's field."""
+
+    def __init__(self, space: BraidedSpace, previous: GradedBasis, max_cols: int):
+        d, rack = space.dim, space.rack
+        count = d * previous.dim
+        if count > max_cols:
+            raise BoundExceededError(
+                f"degree {previous.degree + 1} needs {count} candidate columns, "
+                f"bound is {max_cols}"
+            )
+        self.space, self.previous = space, previous
+        field = previous.field
+        self.q = [
+            [field.internal(space.cocycle.value(y, x)) for x in range(d)]
+            for y in range(d)
+        ]
+        orbit_of = {x: k for k, block in enumerate(rack.orbits()) for x in block}
+        ids: dict = {}
+        self.grade_of: list[int] = []
+        for perm, counts in previous.grades:
+            for x in range(d):
+                bumped = list(counts)
+                bumped[orbit_of[x]] += 1
+                key = (perm_compose(perm, rack.translation(x)), tuple(bumped))
+                self.grade_of.append(ids.setdefault(key, len(ids)))
+        self.keys = list(ids)
+        self.members: list[list[int]] = [[] for _ in self.keys]
+        for c, grade in enumerate(self.grade_of):
+            self.members[grade].append(c)
+
+    def eliminate(self, grade: int):
+        """Insert the derivation vectors of one grade's candidates, in
+        candidate order, into an IncrementalSpan of their own.  Yields
+        (c, vector, None) for a kept candidate and (c, None, combination)
+        for a dependent one, with its certified combination over the kept
+        candidates.  The y block of b_j v_x is
+        delta_{xy} e_j + q(y,x) R_{y|>x} D_y e_j."""
+        d, op, q = self.space.dim, self.space.rack.op, self.q
+        one = self.previous.field.one
+        grade_of, derivations = self.grade_of, self.previous.derivations
+        lower_right = self.previous._right
+        span = IncrementalSpan()
+        for c in self.members[grade]:
+            j, x = divmod(c, d)
+            vector: dict[int, CycScalar] = {}
+            terms = [(c, one)]
+            for y, coeffs in derivations[j].items():
+                rows = lower_right[op(y, x)]
+                qyx = q[y][x]
+                for i2, coeff in coeffs.items():
+                    scaled = qyx * coeff
+                    terms.extend(
+                        (i * d + y, scaled * value) for i, value in rows[i2].items()
+                    )
+            add_terms(vector, terms)
+            if any(grade_of[key] != grade for key in vector):
+                raise InternalCheckError("derivation vector leaves its grade")
+            if span.add(vector, tag=c):
+                yield c, vector, None
+            else:
+                yield c, None, span.combination
+
+    def orbits(self) -> list[list[int]]:
+        """The grades in orbits of Inn(X), acting by h -> phi_x h phi_x^-1
+        on the inner image and fixing the counts; each orbit starts at its
+        least grade.  Checked: the grades are closed under every phi_x, and
+        the grades of an orbit have equal candidate counts.  Both follow
+        from the lower degree's per-grade dimensions being constant on
+        orbits, so they check that degree's symmetry."""
+        rack = self.space.rack
+        conjugations = [
+            (phi, perm_inverse(phi)) for phi in map(rack.translation, range(rack.n))
+        ]
+        ids = {key: g for g, key in enumerate(self.keys)}
+        seen = [False] * len(self.keys)
+        out = []
+        for start in range(len(self.keys)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            orbit = [start]
+            for g in orbit:  # grows while it is walked
+                perm, counts = self.keys[g]
+                for phi, inv in conjugations:
+                    image = ids.get((perm_compose(perm_compose(phi, perm), inv), counts))
+                    if image is None:
+                        raise InternalCheckError(
+                            f"degree {self.previous.degree + 1} candidate grades "
+                            "are not closed under conjugation by Inn(X)"
+                        )
+                    if not seen[image]:
+                        seen[image] = True
+                        orbit.append(image)
+            if len({len(self.members[g]) for g in orbit}) > 1:
+                raise InternalCheckError(
+                    f"degree {self.previous.degree + 1} grades of one Inn(X) "
+                    "orbit have different candidate counts"
+                )
+            out.append(orbit)
+        return out
+
+
+def _dim_by_orbits(space: BraidedSpace, previous: GradedBasis, max_cols: int) -> int:
+    """dim B^n for n = previous.degree + 1, eliminating one grade per
+    Inn(X) orbit: the sum over orbits of |orbit| * rank(least grade).
+    Exact because conjugate grades have equal dimensions (see the module
+    docstring); it yields no basis, so only a top degree can use it."""
+    candidates = _Candidates(space, previous, max_cols)
+    return sum(
+        len(orbit)
+        * sum(combination is None for _, _, combination in candidates.eliminate(orbit[0]))
+        for orbit in candidates.orbits()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,10 @@ def rack_from_json(data: dict) -> Rack:
         table = [[require_int(v, entry) - 1 for v in row] for row in data["table"]]
         if len(table) != n:
             raise ValidationError(f"table has {len(table)} rows, 'n' says {n}")
-    return rack_verify(table, label=data.get("label"))
+        label = data.get("label")
+        if "label" in data and not isinstance(label, str):
+            raise ValidationError(f"rack label {label!r} is not a string")
+    return rack_verify(table, label=label)
 
 
 def rack_to_json(rack: Rack) -> dict:

@@ -148,6 +148,35 @@ def test_group_tc(capsys):
     assert result["index"] == 6
 
 
+def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    # main builds its argparse tree once per process: two calls with
+    # different relators, with an argparse error between them, each print
+    # what the command prints in a process of its own
+    src = Path(rackcover.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    t3 = ["group", "tc", "--builtin", "transpositions:3", "--no-meta"]
+    calls = [
+        [*t3, "--extra-relator", "x1 x1"],
+        [*t3, "--extra-relator"],  # the flag lacks its value: exit 2
+        [*t3, "--extra-relator", "x1 x2"],
+    ]
+    seen = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rackcover.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        seen.append((code, out))
+    assert [code for code, _ in seen] == [0, 2, 0]
+    assert seen[0][1] != seen[2][1]
+
+
 def test_group_tc_transpositions_6(capsys):
     # S_6: the follow-and-define enumerator this replaced ran out of its
     # default 100000 cosets here
@@ -354,6 +383,8 @@ MALFORMED = [
     ("rack-bool-size", {"n": True, "table": [[1]]}, ["rack", "info", "--file"]),
     ("rack-bool-entry", {"n": 1, "table": [[True]]}, ["rack", "info", "--file"]),
     ("rack-float-entry", {"n": 1, "table": [[1.0]]}, ["rack", "info", "--file"]),
+    # a label, when given, is a string
+    ("rack-bool-label", {"n": 1, "table": [[1]], "label": True}, ["rack", "info", "--file"]),
     ("presentation-bool-count", {"generators": True, "relators": ["x1 x1"]},
      ["group", "tc", "--presentation"]),
     ("group-bool-table-entry", {"order": 2, "table": [[1, 2], [2, True]]},

@@ -1,16 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rackcover.braiding import BraidedSpace, Cocycle, chi_cocycle, quadratic_analysis
 from rackcover.cyclotomic import CycScalar, root_of_unity
 from rackcover.errors import BoundExceededError, InternalCheckError
 from rackcover import nichols
-from rackcover.groups import identity_perm, perm_compose
+from rackcover.groups import identity_perm, perm_compose, perm_inverse
 from rackcover.linalg import IncrementalSpan, rank_kernel
 from rackcover.nichols import (
     GradedBasis,
@@ -333,6 +334,92 @@ def test_engine_dims_match_dense_oracle(name):
     assert dims == oracle_graded_dims(space, degrees[-1])
 
 
+def _relabeled(space, seed):
+    """The space with its rack elements renamed by a seeded shuffle."""
+    perm = list(range(space.dim))
+    random.Random(seed).shuffle(perm)
+    rack = space.rack.relabel(tuple(perm))
+    exp = [[0] * space.dim for _ in range(space.dim)]
+    for x in range(space.dim):
+        for y in range(space.dim):
+            exp[perm[x]][perm[y]] = space.cocycle.exponents[x][y]
+    return BraidedSpace(rack, Cocycle(rack, space.cocycle.order, tuple(map(tuple, exp))))
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(list(ENGINE_SPACES)),
+    seed=st.integers(0, 2**16),
+    degree=st.integers(1, 5),
+)
+def test_top_degree_by_orbits_matches_full_engine(name, seed, degree):
+    # hilbert_series eliminates one grade per Inn(X) orbit at its top
+    # degree; every degree below it runs the full engine
+    space = _relabeled(ENGINE_SPACES[name](), seed)
+    top = min(degree, _small_degrees(space)[-1])
+    basis, dims = None, []
+    for n in range(top + 1):
+        basis = GradedBasis(space, n, previous=basis)
+        dims.append(basis.dim)
+    assert hilbert_series(space, top).dims == tuple(dims)
+
+
+def _conjugate(rack, x, perm):
+    phi = rack.translation(x)
+    return perm_compose(perm_compose(phi, perm), perm_inverse(phi))
+
+
+@pytest.mark.parametrize("name,order,top", [
+    ("dihedral:4", 2, 5), ("reflections_D4", 3, 4), ("tetrahedron", 6, 5),
+    ("transpositions:4", "chi", 5), ("affine:3,2", 4, 5), ("affine:5,2", 2, 6),
+    ("transpositions:4", 2, 6),
+])
+def test_full_engine_dims_are_constant_on_conjugacy_orbits(name, order, top):
+    # g_x v_y = q(x,y) v_{x|>y} is a graded automorphism of B(V), mapping
+    # the grade (h, counts) onto (phi_x h phi_x^-1, counts)
+    space = chi_space(4) if order == "chi" else _constant_space(name, order)
+    rack = space.rack
+    basis = None
+    for degree in range(top + 1):
+        basis = GradedBasis(space, degree, previous=basis)
+        dims = Counter(basis.grades)
+        assert len(dims) > 1 or degree < 2
+        for (perm, counts), dim in dims.items():
+            for x in range(rack.n):
+                assert dims[(_conjugate(rack, x, perm), counts)] == dim
+
+
+def _break_orbits(monkeypatch, corrupt):
+    original = nichols._Candidates.orbits
+
+    def corrupted(self):
+        corrupt(self)
+        return original(self)
+
+    monkeypatch.setattr(nichols._Candidates, "orbits", corrupted)
+
+
+def test_orbit_check_catches_a_grade_set_not_closed_under_conjugation(monkeypatch):
+    # degree 3 of the chi space has the three transpositions as inner
+    # images; swapping one for the identity leaves the others' conjugates
+    # without a grade
+    space = chi_space(3)
+
+    def identity_grade(candidates):
+        candidates.keys[0] = (identity_perm(3), candidates.keys[0][1])
+
+    _break_orbits(monkeypatch, identity_grade)
+    with pytest.raises(InternalCheckError, match="not closed under conjugation"):
+        hilbert_series(space, 3)
+
+
+def test_orbit_check_catches_unequal_candidate_counts(monkeypatch):
+    space = chi_space(3)
+    _break_orbits(monkeypatch, lambda candidates: candidates.members[0].pop())
+    with pytest.raises(InternalCheckError, match="different candidate counts"):
+        hilbert_series(space, 3)
+
+
 def test_engine_runs_sign_valued_order_four_cocycle_over_ints():
     # q == zeta_4^2 = -1 takes rational values only, so the engine holds
     # ints as for const:-1, keeps the same words in every degree, and
@@ -434,14 +521,16 @@ def test_full_series_affine_5_2():
 
 
 @pytest.mark.parametrize("name,brackets,degree,last", [
-    ("transpositions:5", (4, 4, 4, 4, 5, 5, 6, 6, 6, 6), 6, 4761),
-    ("affine:7,3", (6, 6, 6, 6, 6, 6, 7), 7, 1673),
+    ("transpositions:5", (4, 4, 4, 4, 5, 5, 6, 6, 6, 6), 7, 10410),
+    ("affine:7,3", (6, 6, 6, 6, 6, 6, 7), 8, 2828),
 ], ids=["fomin-kirillov-5", "affine-7-3"])
 def test_series_prefix_of_large_nichols_algebras(name, brackets, degree, last):
     # published series (4)^4 (5)^2 (6)^4, dimension 8294400, and (6)^6 (7),
-    # dimension 326592, up to a degree a test can reach
+    # dimension 326592, up to a degree a test can reach; the top degree
+    # takes one grade per conjugacy orbit, FK_5's from 10 * 4761 = 47610
+    # candidates
     space = _constant_space(name, 2)
-    report = hilbert_series(space, degree, max_cols=30000)
+    report = hilbert_series(space, degree, max_cols=50000)
     _check_graded_report(space, report)
     assert report.dims == _bracket_series(*brackets)[: degree + 1]
     assert report.dims[-1] == last

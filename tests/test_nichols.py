@@ -202,20 +202,8 @@ def test_hilbert_series_bound_carries_partial():
 
 
 def test_hilbert_series_invariant_under_relabeling():
-    rng = random.Random(5)
-    rack = transpositions_rack(3)
     space = chi_space(3)
-    perm = list(range(rack.n))
-    rng.shuffle(perm)
-    perm = tuple(perm)
-    relabeled = rack.relabel(perm)
-    exp = [[0] * rack.n for _ in range(rack.n)]
-    for x in range(rack.n):
-        for y in range(rack.n):
-            exp[perm[x]][perm[y]] = space.cocycle.exponents[x][y]
-    moved = BraidedSpace(
-        relabeled, Cocycle(relabeled, 2, tuple(tuple(r) for r in exp))
-    )
+    moved = _relabeled(space, 5)
     assert hilbert_series(space, 4).dims == hilbert_series(moved, 4).dims
 
 

@@ -14,10 +14,11 @@ graded image bases and g in G:
   Yetter-Drinfeld map).  Its coordinates come from the graded-component
   engine's right multiplications R_x (nichols.GradedBasis), one letter at
   a time, with no elimination;
-* coproduct: deconcatenate b and insert the group degree of the right
-  part: (b # g) -> sum (b1 # deg(b2) g) (x) (b2 # g).  The symmetrized
-  kept words b are read off the engine as iterated derivations, and each
-  tensor factor is solved in the span of a graded component;
+* coproduct: the braided coproduct of b with the group degree of the
+  right part inserted: (b # g) -> sum (b1 # deg(b2) g) (x) (b2 # g).  It
+  is an algebra map into the braided tensor product, so
+  Delta(b v_x) = Delta(b)(v_x (x) 1 + 1 (x) v_x) builds it letter by
+  letter from the same right multiplications R_x, with no elimination;
 * antipode:  synthesized degree by degree as the convolution inverse of
   the identity (the degree-0 part is a group algebra, so the inverse is
   determined), then verified against both antipode identities.
@@ -324,6 +325,19 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
     # times[i][j]: the index of elements[i] * elements[j], read for every
     # product and coproduct entry
     times = [[group.index(group.mul(g1, g2)) for g2 in elements] for g1 in elements]
+    # every kept element is G-homogeneous of the degree of its kept word, so
+    # b_j v_x lies on kept words of degree deg(t_j) deg(x): checked on every
+    # right multiplication, which the product and the coproduct both read
+    tag_degrees = [
+        [group.index(datum.degree_of_word(basis.words.word(t))) for t in basis.tags]
+        for basis in bases
+    ]
+    for n in range(1, cutoff + 1):
+        for x, rows in enumerate(bases[n].right):
+            gx = group.index(datum.degrees[x])
+            if any(tag_degrees[n][i] != times[tag_degrees[n - 1][j]][gx]
+                   for j, row in enumerate(rows) for i in row):
+                raise InternalCheckError(f"b v_{x} in degree {n} leaves its group degree")
 
     # --- product ---------------------------------------------------------
     # b_i1 * g1.b_i2 = s b_i1 v_w1 ... v_wk, g1.(word of t2) = (w, s): the
@@ -350,52 +364,51 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
                             }
 
     # --- coproduct -------------------------------------------------------
-    # The (k, n-k) part of b_i is the matrix U[u, v] = b_i[u d^(n-k) + v],
-    # u the left word and v the right one.  Each column U[:, v] lies in B^k
-    # and solves to rows X[a, :], which lie in B^(n-k) and solve to C[a, b]:
-    # U = sum C[a, b] b_a (x) b_b.  Every word of b_b has the group degree
-    # of its kept word t_b (the braiding preserves the degree product), so
-    # the left group element is deg(t_b) g; only it varies with g.
-    tag_degrees = [
-        [datum.degree_of_word(basis.words.word(t)) for t in basis.tags]
-        for basis in bases
+    # Delta is an algebra map into the braided tensor product, so for the
+    # kept b_i = b_j v_x (tag t_j d + x), Delta(b_i) = Delta(b_j)(v_x (x) 1
+    # + 1 (x) v_x): a term C b_a (x) b_b of Delta(b_j) gives
+    # C s (b_a v_x') (x) b_b + C b_a (x) (b_b v_x), where c(b_b (x) v_x) =
+    # s v_x' (x) b_b moves v_x left past the letters of t_b by the cocycle,
+    # at its order N.  split[n][i] = {(k, a, b): C} of Delta(b_i), with both
+    # products read from the right multiplications.  b_b has the group
+    # degree of t_b, so the left group element is deg(t_b) g.
+    N, op, exp = space.cocycle.order, space.rack.op, space.cocycle.exponents
+
+    def moved(word, x) -> tuple:
+        """(x', s) with c(v_word (x) v_x) = s v_x' (x) v_word."""
+        e = 0
+        for y in reversed(word):
+            e, x = e + exp[y][x], op(y, x)
+        return x, CycScalar.root_of_unity(N, e)
+
+    passes = [  # passes[m][b][x] = moved(t_b, x), for the kept words of degree m
+        [[moved(basis.words.word(t), x) for x in range(d)] for t in basis.tags]
+        for basis in bases[:-1]
     ]
-    coproduct: dict = {}
-    for n in range(cutoff + 1):
-        words = bases[n].words
-        for i, vec in enumerate(bases[n].vectors):
-            degree = tag_degrees[n][i]
-            if any(datum.degree_of_word(words.word(idx)) != degree for idx in vec):
-                raise InternalCheckError(f"basis vector ({n}, {i}) is not G-homogeneous")
-            solved = []
-            for k in range(n + 1):
-                shift = d ** (n - k)
-                columns: dict = {}
-                for idx, coeff in vec.items():
-                    u, v = divmod(idx, shift)
-                    columns.setdefault(v, {})[u] = coeff
-                rows: dict = {}
-                for v, column in columns.items():
-                    coords = bases[k].coordinates(column)
-                    if coords is None:
-                        raise InternalCheckError(
-                            "deconcatenation left the graded tensor basis")
-                    for a, value in coords.items():
-                        rows.setdefault(a, {})[v] = value
-                for a, row in rows.items():
-                    coords = bases[n - k].coordinates(row)
-                    if coords is None:
-                        raise InternalCheckError(
-                            "deconcatenation left the graded tensor basis")
-                    solved.extend(
-                        (k, a, b, times[group.index(tag_degrees[n - k][b])], value)
-                        for b, value in coords.items()
-                    )
-            for gi in range(group.order):
-                coproduct[(n, i, gi)] = {
-                    ((k, a, left[gi]), (n - k, b, gi)): value
-                    for k, a, b, left, value in solved
-                }
+    # Delta(1) = 1 (x) 1 and Delta(v_x) = v_x (x) 1 + 1 (x) v_x, at order 1;
+    # degree 1 keeps every letter, b_x = v_x
+    one = CycScalar.one()
+    split = [[{(0, 0, 0): one}], [{(0, 0, i): one, (1, i, 0): one} for i in range(d)]]
+    for n in range(2, cutoff + 1):
+        lower = {t: j for j, t in enumerate(bases[n - 1].tags)}
+        split.append([])
+        for t in bases[n].tags:
+            x, terms = t % d, {}
+            for (k, a, b), c in split[n - 1][lower[t // d]].items():
+                x2, s = passes[n - 1 - k][b][x]
+                add_terms(terms, (((k + 1, a2, b), c * s * r)
+                                  for a2, r in bases[k + 1].right[x2][a].items()))
+                add_terms(terms, (((k, a, b2), c * r)
+                                  for b2, r in bases[n - k].right[x][b].items()))
+            split[-1].append(terms)
+    coproduct = {
+        (n, i, gi): {
+            ((k, a, times[tag_degrees[n - k][b]][gi]), (n - k, b, gi)): value
+            for (k, a, b), value in terms.items()
+        }
+        for n in range(cutoff + 1) for i, terms in enumerate(split[n])
+        for gi in range(group.order)
+    }
 
     slice_ = GradedHopfSlice(
         datum=datum,
@@ -412,23 +425,18 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
 
 
 def _synthesize_antipode(slice_: GradedHopfSlice):
-    """Convolution inverse of the identity, degree by degree."""
+    """Convolution inverse of the identity, degree by degree: S(1 # g) =
+    1 # g^-1, and S(x) (1 # g) = -sum S(x1) x2 over the terms of Delta(x)
+    other than its top one, x (x) (1 # g), for x = b # g in degree > 0."""
     group = slice_.datum.group
     antipode = slice_.antipode
-    for key in sorted(slice_.basis):
-        n, i, gi = key
-        g = group.elements[gi]
-        if n == 0:
-            antipode[key] = {
-                (0, 0, group.index(group.inv(g))): CycScalar.one()
-            }
     one = CycScalar.one()
-    for key in sorted(slice_.basis, key=lambda k: (k[0], k[1], k[2])):
-        n, i, gi = key
+    for key in sorted(slice_.basis):
+        n, _, gi = key
+        inv_unit = {(0, 0, group.index(group.inv(group.elements[gi]))): one}
         if n == 0:
+            antipode[key] = inv_unit
             continue
-        g = group.elements[gi]
-        inv_unit = {(0, 0, group.index(group.inv(g))): one}
         acc: Element = {}
         for (ka, kb), coeff in slice_.coproduct[key].items():
             if ka[0] == n:

@@ -9,11 +9,12 @@ B^n is spanned by the products b_j v_x of a basis of B^(n-1) with the
 letters, and their derivation vectors decide every dependence.
 `GradedBasis` eliminates those d * dim B^(n-1) candidates grade by grade,
 and keeps, for the next degree, the derivations D_y of its basis and the
-right multiplications R_x into it; nothing of size d^n is built.  The
-kept words are the lexicographically-first ones, as when B^n is cut out
-of all columns of the quantum symmetrizer, and the symmetrized kept
-words are read off as iterated derivations,
-S_n[y_1 ... y_n, t] = d_{y_1} ... d_{y_n} t.
+right multiplications R_x into it.  The kept words are the
+lexicographically-first ones, as when B^n is cut out of all columns of
+the quantum symmetrizer, whose entries are iterated derivations,
+S_n[y_1 ... y_n, t] = d_{y_1} ... d_{y_n} t.  Nothing of size d^n is
+built: the bosonization reads its products and coproducts off the right
+multiplications alone.
 
 Inner symmetry: g_x v_y = q(x,y) v_{x|>y}, the Yetter-Drinfeld action
 behind the braiding, commutes with c by the cocycle condition, so it
@@ -318,8 +319,7 @@ class GradedBasis:
     skew-derivations (see the module docstring).  `tags` are the kept
     words, the lexicographically-first words whose images span B^n, in
     word-index order.  It is the only eliminator of a graded component:
-    ranks, slice bases, products and coproduct coordinates are all read
-    from it.
+    ranks, slice bases, products and coproducts are all read from it.
 
     The candidate of (kept b_j of B^(n-1), letter x) is the derivation
     vector of b_j v_x, keyed i*d + y for the coefficient of b_i in d_y; its
@@ -338,8 +338,8 @@ class GradedBasis:
 
     The elimination, the derivations and `_right` run over the `Field` of
     1 and the braiding scalars q(y,x); scalars leave the engine as
-    CycScalars of the cocycle order, through `vectors`, `right` and
-    `coordinates`."""
+    CycScalars of the cocycle order, through `right`.  A degree holds
+    nothing of the degree below it."""
 
     def __init__(
         self,
@@ -353,9 +353,6 @@ class GradedBasis:
         self.space = space
         self.degree = degree
         self.words = TensorWords(space, degree)
-        self._previous = previous
-        self._vectors: list[dict[int, CycScalar]] | None = None
-        self._span: IncrementalSpan | None = None
         self._exported_right: list[list[dict]] | None = None
         d, rack, cocycle = space.dim, space.rack, space.cocycle
         q = [[cocycle.value(y, x) for x in range(d)] for y in range(d)]
@@ -369,7 +366,7 @@ class GradedBasis:
             self.grades = [(identity_perm(rack.n), (0,) * len(rack.orbits()))]
             return
         if previous is None:
-            previous = self._previous = GradedBasis(space, degree - 1, max_cols)
+            previous = GradedBasis(space, degree - 1, max_cols)
         elif previous.degree != degree - 1:
             raise ValueError("previous component must have degree one lower")
         candidates = _Candidates(space, previous, max_cols)
@@ -419,45 +416,6 @@ class GradedBasis:
                 for rows in self._right
             ]
         return self._exported_right
-
-    @property
-    def vectors(self) -> list[dict[int, CycScalar]]:
-        """S_n e_t for each kept word t, as sparse word-index vectors, read
-        off as iterated derivations, S_n[y_1 ... y_n, t] = d_{y_1} ...
-        d_{y_n} t, on first use.  Their scalars have order 1 in degrees 0
-        and 1 and the cocycle order from degree 2 on, as the entries of
-        `symmetrizer_matrix`."""
-        if self._vectors is None:
-            if self.degree <= 1:
-                self._vectors = [{t: CycScalar.one()} for t in self.tags]
-            else:
-                d = self.space.dim
-                lower = self._previous.vectors
-                self._vectors = []
-                for blocks in self.derivations:
-                    vector: dict[int, CycScalar] = {}
-                    for y, coeffs in blocks.items():
-                        for i, coeff in coeffs.items():
-                            coeff = self.field.export(coeff)
-                            add_terms(vector, (
-                                (w * d + y, coeff * value)
-                                for w, value in lower[i].items()
-                            ))
-                    self._vectors.append(vector)
-        return self._vectors
-
-    def coordinates(self, vector: dict[int, CycScalar]) -> dict[int, CycScalar] | None:
-        """{basis position: coefficient}, without zeros, for a vector of
-        words; None off the span.  The span holds only the kept vectors,
-        inserted in tag order."""
-        if self._span is None:
-            self._span = IncrementalSpan()
-            for i, kept in enumerate(self.vectors):
-                if not self._span.add(kept, tag=i):
-                    raise InternalCheckError(
-                        f"kept vector {i} of degree {self.degree} is dependent"
-                    )
-        return self._span.coordinates(vector)
 
     def times_letter(self, coords: dict, x: int) -> dict[int, CycScalar]:
         """Coordinates of b v_x in this degree, for b given by coordinates

@@ -52,6 +52,18 @@ def default_labels(ngens: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(ngens))
 
 
+def _file_labels(labels, ngens: int) -> tuple[str, ...]:
+    """Generator names read from a file: a list of ngens distinct non-empty
+    strings without whitespace or '^', the separators of `parse_word`."""
+    if not (isinstance(labels, list) and len(labels) == ngens
+            and all(isinstance(name, str) and name.split() == [name] and "^" not in name
+                    for name in labels)
+            and len(set(labels)) == ngens):
+        raise ValidationError(
+            f"labels {labels!r} are not {ngens} distinct names without whitespace or '^'")
+    return tuple(labels)
+
+
 def format_word(word, labels) -> str:
     if not word:
         return "1"
@@ -152,8 +164,10 @@ class Presentation:
             ngens = require_int(
                 data["generators"], "generator count {value!r} is not an integer"
             )
-            given = tuple(data["labels"]) if "labels" in data else None
+            given = _file_labels(data["labels"], ngens) if "labels" in data else None
             labels = given or default_labels(ngens)
+            if not isinstance(data["relators"], list):
+                raise ValidationError("relators must be a list of words")
             relators = [parse_word(text, labels) for text in data["relators"]]
             return cls.make(ngens, relators, given)
 

@@ -1,11 +1,13 @@
 """Shuffle-lift oracle: the braided shuffle product as a sum of braid lifts.
 
-The library reads bosonization products off symmetrizer columns
-(`S_{m+n} = Sh_{m,n} (S_m (x) S_n)`).  This module keeps the direct
-construction it replaced, as a second path to compare against:
-Matsumoto lifts of the minimal coset representatives of S_m x S_n, applied
-to tensor words through the braid-generator tables, and the bosonization
-product and coproduct built from them one group element at a time.
+The library reads bosonization products and coproducts off the right
+multiplications of the graded-component engine.  This module builds them
+on a second path, from word vectors: the kept words of each degree are
+the lexicographically-first columns S_n e_t of the quantum symmetrizer,
+found and solved in spans of its own; products sum Matsumoto lifts of the
+minimal coset representatives of S_m x S_n, applied to tensor words
+through the braid-generator tables; coproducts deconcatenate the kept
+vectors.  Both are built one group element at a time.
 """
 
 from itertools import combinations
@@ -14,7 +16,7 @@ from rackcover.bosonization import GradedHopfSlice, _synthesize_antipode
 from rackcover.cyclotomic import CycScalar
 from rackcover.groups import identity_perm, perm_compose
 from rackcover.linalg import IncrementalSpan, add_terms
-from rackcover.nichols import GradedBasis, TensorWords
+from rackcover.nichols import TensorWords, symmetrizer_matrix
 
 
 # --- permutations and reduced words ---------------------------------------------
@@ -121,6 +123,28 @@ def shuffle_multiply(space, words_total: TensorWords, m: int, n: int, a, b) -> d
 # --- the bosonization slice, one group element at a time ------------------------
 
 
+class KeptColumns:
+    """The kept words of one degree, the lexicographically-first columns of
+    the symmetrizer that span its image, with their columns S_n e_t as
+    `vectors` and a span of those columns to solve in."""
+
+    def __init__(self, space, degree: int):
+        columns = symmetrizer_matrix(space, degree).columns()
+        self.span = IncrementalSpan()
+        for tag in sorted(columns):
+            self.span.add(columns[tag], tag)
+        self.tags = self.span.kept
+        self.dim = len(self.tags)
+        self.vectors = [columns[t] for t in self.tags]
+        self._position = {t: i for i, t in enumerate(self.tags)}
+
+    def coordinates(self, vector: dict) -> dict:
+        """{basis position: coefficient} of a vector of the span."""
+        coords = self.span.coordinates(vector)
+        assert coords is not None
+        return {self._position[t]: c for t, c in coords.items()}
+
+
 def act_on_vector(datum, g, vector, words: TensorWords) -> dict:
     """Diagonal action of g on a tensor-space vector (word-index keyed)."""
     out: dict = {}
@@ -142,7 +166,7 @@ def shuffle_slice(datum, cutoff: int) -> GradedHopfSlice:
     space, group = datum.space, datum.group
     d = space.dim
     elements = group.elements
-    bases = [GradedBasis(space, n) for n in range(cutoff + 1)]
+    bases = [KeptColumns(space, n) for n in range(cutoff + 1)]
     dims = tuple(basis.dim for basis in bases)
     words = [TensorWords(space, n) for n in range(cutoff + 1)]
     keys = [
@@ -162,7 +186,6 @@ def shuffle_slice(datum, cutoff: int) -> GradedHopfSlice:
                         acted = act_on_vector(datum, g1, vec2, words[n2])
                         merged = shuffle_multiply(space, words[total], n1, n2, vec1, acted)
                         coords = bases[total].coordinates(merged)
-                        assert coords is not None
                         for gi2, g2 in enumerate(elements):
                             g12 = group.index(group.mul(g1, g2))
                             product[((n1, i1, gi1), (n2, i2, gi2))] = {

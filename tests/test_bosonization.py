@@ -38,6 +38,16 @@ def s3_chi_datum():
     return datum_from_generators(space, group, elems)
 
 
+def fk4_chi_datum():
+    """The transpositions of S_4 with the chi cocycle, graded by themselves
+    inside S_4."""
+    cocycle = chi_cocycle(4)
+    space = BraidedSpace(cocycle.rack, cocycle)
+    elems = transposition_elements(4)
+    group = FiniteGroup.from_permutations(elems, label="S4")
+    return datum_from_generators(space, group, elems)
+
+
 def s3_minus_one_datum():
     rack = transpositions_rack(3)
     space = BraidedSpace(rack, Cocycle.constant_minus_one(rack))
@@ -285,6 +295,11 @@ SHUFFLE_ORACLE_DATA = {
     "s3-chi-relabeled": (lambda: s3_chi_datum_relabeled((2, 0, 1)), 3),
     "c12-q3": (lambda: rank_one_datum(group_order=12, q_order=3), 2),
     "c4-q4": (lambda: rank_one_datum(group_order=4, q_order=4), 3),
+    # datum scalars of order 12 over a cocycle of order 4: the coproduct's
+    # braiding scalars keep the cocycle order
+    "c12-mixed-orders-2": (c12_mixed_order_datum, 2),
+    "c12-mixed-orders-3": (c12_mixed_order_datum, 3),
+    "fk4-chi": (fk4_chi_datum, 2),
 }
 
 
@@ -310,9 +325,12 @@ def test_slice_matches_shuffle_oracle(name):
         assert _exact(getattr(slice_, table)) == _exact(getattr(oracle, table)), table
 
 
-# the reference verifier keyed by basis tuples, on the stored CycScalars
+# the reference verifier keyed by basis tuples, on the stored CycScalars;
+# it takes seconds on the larger oracle data, so of the C12 datum it
+# checks cutoff 2 only
 REFERENCE_VERIFIER_DATA = {
-    **SHUFFLE_ORACLE_DATA,
+    **{name: data for name, data in SHUFFLE_ORACLE_DATA.items()
+       if name not in ("c12-mixed-orders-2", "c12-mixed-orders-3", "fk4-chi")},
     "s3-chi-cutoff-4": (s3_chi_datum, 4),
     "c12-mixed-orders": (c12_mixed_order_datum, 2),
 }
@@ -378,19 +396,20 @@ def test_slice_bound():
 
 
 def test_slice_checks_group_degree_homogeneity(monkeypatch):
-    # the coproduct takes the left group element from each right factor's
-    # kept word, so a basis vector with a word of another degree is caught
+    # the product and the coproduct read the right multiplications, so an
+    # entry of b_j v_x on a kept word of another group degree is caught:
+    # x0 x0 = 0 in the chi slice, and every kept degree-2 word is a 3-cycle
     class Tampered(GradedBasis):
         @property
-        def vectors(self):
-            vectors = list(super().vectors)
-            if self.degree == 1:
-                vectors[0] = {**vectors[0], 1: CycScalar.one()}
-            return vectors
+        def right(self):
+            rows = super().right
+            if self.degree == 2:
+                rows[0][0] = {0: CycScalar.one(2)}
+            return rows
 
     monkeypatch.setattr("rackcover.bosonization.GradedBasis", Tampered)
-    with pytest.raises(InternalCheckError, match="G-homogeneous"):
-        build_slice(s3_chi_datum(), 1)
+    with pytest.raises(InternalCheckError, match="leaves its group degree"):
+        build_slice(s3_chi_datum(), 2)
 
 
 # --- covering maps -----------------------------------------------------------------

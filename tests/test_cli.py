@@ -374,6 +374,16 @@ MALFORMED = [
      ["group", "tc", "--presentation"]),
     ("presentation-negative-count", {"generators": -1, "relators": []},
      ["group", "abelianization", "--presentation"]),
+    # labels are a list of distinct names that parse_word can split out:
+    # a string was read letter by letter, a repeated name let the second
+    # one win, and numbers failed only on the first relator
+    ("presentation-labels-string",
+     {"generators": 2, "labels": "st", "relators": ["s s", "t t", "s t s t s t"]},
+     ["group", "abelianization", "--presentation"]),
+    ("presentation-labels-repeated", {"generators": 2, "labels": ["s", "s"], "relators": ["s s"]},
+     ["group", "tc", "--extra-relator", "s", "--presentation"]),
+    ("presentation-labels-numbers", {"generators": 2, "labels": [1, 2], "relators": ["x1 x2"]},
+     ["group", "abelianization", "--presentation"]),
     ("datum-no-action", _datum_missing("action"), ["hopf", "bosonize", "--datum"]),
     ("datum-degree-out-of-range", _datum_with("deg", [3]), ["hopf", "bosonize", "--datum"]),
     ("datum-bad-scalar", _datum_with("action", [[[1, "two"]], [[1, "2 1"]]]),

@@ -54,11 +54,12 @@ BASES = {
 OPTIONAL_KEYS = {"label", "labels"}
 
 # replacements by the kind of the value they replace; no int for a string,
-# since a datum scalar may be a rational, and nothing iterable for a list
+# since a datum scalar may be a rational, and for a list no iterable but
+# a string, which reads as a list of its letters
 WRONG = {
     int: [True, False, 1.5, 2.0, None, "1", [1], {"n": 1}],
     str: [True, 1.5, None, [], ["s"], {}],
-    list: [True, 0, 7, 1.5, None],
+    list: [True, 0, 7, 1.5, None, "st"],
     dict: [True, 0, 1.5, None, "n", [], [1, 2]],
 }
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -12,7 +14,7 @@ from rackcover.cyclotomic import CycScalar, root_of_unity
 from rackcover.errors import BoundExceededError, InternalCheckError
 from rackcover import nichols
 from rackcover.groups import identity_perm, perm_compose, perm_inverse
-from rackcover.linalg import IncrementalSpan, rank_kernel
+from rackcover.linalg import IncrementalSpan, add_terms, axpy, rank_kernel
 from rackcover.nichols import (
     GradedBasis,
     GradedReport,
@@ -281,6 +283,26 @@ ENGINE_SPACES["transpositions:3-chi"] = lambda: chi_space(3)
 ENGINE_SPACES["transpositions:4-chi"] = lambda: chi_space(4)
 
 
+def kept_vectors(basis, lower):
+    """S_n e_t for each kept word t of `basis`, as sparse word-index
+    vectors, read off its derivations as iterated derivations,
+    S_n[y_1 ... y_n, t] = d_{y_1} ... d_{y_n} t; `lower` holds the kept
+    vectors of the degree below.  Scalars have order 1 in degrees 0 and 1
+    and the cocycle order above, as the entries of `symmetrizer_matrix`."""
+    if basis.degree <= 1:
+        return [{t: CycScalar.one()} for t in basis.tags]
+    d = basis.space.dim
+    out = []
+    for blocks in basis.derivations:
+        vector = {}
+        for y, coeffs in blocks.items():
+            for i, coeff in coeffs.items():
+                coeff = basis.field.export(coeff)
+                add_terms(vector, ((w * d + y, coeff * v) for w, v in lower[i].items()))
+        out.append(vector)
+    return out
+
+
 def _small_degrees(space):
     """Degrees 0..n with d^n <= 216 and n <= 5."""
     top = 0
@@ -294,16 +316,17 @@ def test_engine_matches_symmetrizer_path(name):
     # dims, kept words and kept vectors (value and stored field order)
     # against the lexicographically-first columns of the symmetrizer
     space = ENGINE_SPACES[name]()
-    basis = None
+    basis = vectors = None
     for degree in _small_degrees(space):
         basis = GradedBasis(space, degree, previous=basis)
+        vectors = kept_vectors(basis, vectors)
         columns = symmetrizer_matrix(space, degree).columns()
         span = IncrementalSpan()
         for tag in sorted(columns):
             span.add(columns[tag], tag)
         assert basis.dim == span.dim
         assert basis.tags == span.kept
-        for tag, vector in zip(basis.tags, basis.vectors):
+        for tag, vector in zip(basis.tags, vectors):
             column = columns[tag]
             assert vector == column
             assert {k: v.order for k, v in vector.items()} == {
@@ -415,20 +438,22 @@ def test_engine_runs_sign_valued_order_four_cocycle_over_ints():
     rack = transpositions_rack(4)
     quartic = BraidedSpace(rack, Cocycle.constant(rack, 4, 2))
     minus_one = space_const_minus_one(rack)
-    basis = sign = None
+    basis = sign = vectors = sign_vectors = None
     for degree in range(7):
         basis = GradedBasis(quartic, degree, previous=basis)
         sign = GradedBasis(minus_one, degree, previous=sign)
+        vectors = kept_vectors(basis, vectors)
+        sign_vectors = kept_vectors(sign, sign_vectors)
         held = [v for blocks in basis.derivations for coeffs in blocks.values()
                 for v in coeffs.values()]
         held += [v for rows in basis._right for row in rows for v in row.values()]
         assert all(type(v) is int for v in held)
         assert (basis.dim, basis.tags) == (sign.dim, sign.tags)
         assert basis.right == sign.right
-        assert basis.vectors == sign.vectors
+        assert vectors == sign_vectors
         exported = [v for rows in basis.right for row in rows for v in row.values()]
         if degree >= 2:
-            exported += [v for vector in basis.vectors for v in vector.values()]
+            exported += [v for vector in vectors for v in vector.values()]
         assert all(type(v) is CycScalar and v.order == 4 for v in exported)
 
 
@@ -620,17 +645,22 @@ def test_graded_basis_keeps_symmetrizer_columns():
     # symmetrizer column of its kept word, entry for entry in value and in
     # stored field order, and solves to its own basis position
     space = chi_space(3)
+    basis = vectors = None
     for degree in range(0, 5):
-        basis = GradedBasis(space, degree)
+        basis = GradedBasis(space, degree, previous=basis)
+        vectors = kept_vectors(basis, vectors)
         columns = symmetrizer_matrix(space, degree).columns()
-        assert len(basis.vectors) == basis.dim == len(basis.tags)
-        for i, (tag, vector) in enumerate(zip(basis.tags, basis.vectors)):
+        assert len(vectors) == basis.dim == len(basis.tags)
+        span = IncrementalSpan()
+        for i, vector in enumerate(vectors):
+            assert span.add(vector, tag=i)
+        for i, (tag, vector) in enumerate(zip(basis.tags, vectors)):
             column = columns[tag]
             assert vector == column
             assert {k: v.order for k, v in vector.items()} == {
                 k: v.order for k, v in column.items()
             }
-            assert basis.coordinates(column) == {i: CycScalar.one()}
+            assert span.coordinates(column) == {i: CycScalar.one()}
 
 
 def test_graded_basis_dimensions_and_coordinates():
@@ -639,25 +669,37 @@ def test_graded_basis_dimensions_and_coordinates():
         basis = GradedBasis(space, degree)
         assert basis.dim == hilbert_series(space, degree).dims[degree]
     basis = GradedBasis(space, 2)
-    # any symmetrized column must have exact coordinates in the basis
-    matrix = symmetrizer_matrix(space, 2)
-    for c in range(matrix.cols):
-        col = {r: v for (r, cc), v in matrix.entries.items() if cc == c}
-        if not col:
-            continue
-        coords = basis.coordinates(col)
+    d = space.dim
+    # every symmetrizer column solves exactly in the span of the kept
+    # columns, and the column of the word t_j x solves to right[x][j]
+    columns = symmetrizer_matrix(space, 2).columns()
+    span = IncrementalSpan()
+    for i, tag in enumerate(basis.tags):
+        assert span.add(columns[tag], tag=i)
+    for c in range(d**2):
+        col = columns.get(c, {})
+        coords = span.coordinates(col)
         assert coords is not None
-        rebuilt = {}
         assert all(not coeff.is_zero for coeff in coords.values())
+        rebuilt = {}
         for pos, coeff in coords.items():
-            for r, v in basis.vectors[pos].items():
-                cur = rebuilt.get(r, CycScalar.zero())
-                cur = cur + coeff * v
-                if cur.is_zero:
-                    rebuilt.pop(r, None)
-                else:
-                    rebuilt[r] = cur
+            axpy(rebuilt, coeff, columns[basis.tags[pos]])
         assert rebuilt == col
+        j, x = divmod(c, d)
+        assert coords == basis.right[x][j]
+
+
+def test_graded_basis_holds_no_lower_degree():
+    # a degree keeps the derivations and right multiplications it needs,
+    # not the basis it was built from
+    space = chi_space(3)
+    lower = GradedBasis(space, 2)
+    ref = weakref.ref(lower)
+    basis = GradedBasis(space, 3, previous=lower)
+    del lower
+    gc.collect()
+    assert ref() is None
+    assert basis.dim == 3
 
 
 # --- minimal elements -----------------------------------------------------------

@@ -23,6 +23,11 @@ graded image bases and g in G:
   the identity (the degree-0 part is a group algebra, so the inverse is
   determined), then verified against both antipode identities.
 
+A slice stores one product row b * g.b' per (b # g, b') and one coproduct
+per b, both over B(V)'s kept basis; `GradedHopfSlice.basis_product` and
+`basis_coproduct` add the group keys above when read, and only they do.
+The antipode is stored per basis element b # g.
+
 Axioms that cannot close inside a degree-D slice (products whose total
 degree exceeds D) are skipped and reported as such; everything else is
 checked exactly on basis elements.  The verifier compiles the slice once
@@ -269,10 +274,12 @@ class GradedHopfSlice:
 
     datum: YDDatum
     cutoff: int
-    basis: list  # list of BasisKey
-    index: dict  # BasisKey -> position
-    product: dict  # (keyA, keyB) -> Element, only for closed degree pairs
-    coproduct: dict  # key -> dict[(keyA, keyB)] -> CycScalar
+    basis: list  # list of BasisKey, in sorted order
+    # (keyA, (n2, i2)) -> {(n1 + n2, i): scalar}, only for closed degree pairs
+    product: dict
+    coproduct: dict  # (n, i) -> {(k, a, b): scalar}, Delta(b_i) over B(V)'s basis
+    tag_degrees: list  # tag_degrees[n][i]: the group degree index of b_i
+    times: list  # times[i][j]: the index of elements[i] * elements[j]
     antipode: dict  # key -> Element
     dims: tuple
 
@@ -286,13 +293,28 @@ class GradedHopfSlice:
     def group_like_keys(self) -> list[BasisKey]:
         return [key for key in self.basis if key[0] == 0]
 
+    def closed_pairs(self):
+        """The pairs (keyA, keyB) of total degree <= cutoff, in basis order."""
+        for ka in self.basis:
+            for kb in self.basis:
+                if ka[0] + kb[0] > self.cutoff:
+                    break
+                yield ka, kb
+
     def basis_product(self, ka: BasisKey, kb: BasisKey) -> Element:
-        entry = self.product.get((ka, kb))
-        if entry is None:
+        """(b1 # g1)(b2 # g2): the stored row of (b1 # g1, b2), at g1 g2."""
+        row = self.product.get((ka, kb[:2]))
+        if row is None:
             raise BoundExceededError(
-                f"product {ka} * {kb} leaves the degree-{self.cutoff} slice"
-            )
-        return entry
+                f"product {ka} * {kb} leaves the degree-{self.cutoff} slice")
+        g12 = self.times[ka[2]][kb[2]]
+        return {(n, i, g12): c for (n, i), c in row.items()}
+
+    def basis_coproduct(self, key: BasisKey) -> dict:
+        """Delta(b # g) from the stored Delta(b) = sum C b_a (x) b_b."""
+        n, i, gi = key
+        return {((k, a, self.times[self.tag_degrees[n - k][b]][gi]), (n - k, b, gi)): c
+                for (k, a, b), c in self.coproduct[(n, i)].items()}
 
     def multiply(self, a: Element, b: Element) -> Element:
         out: Element = {}
@@ -304,26 +326,25 @@ class GradedHopfSlice:
 
 def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfSlice:
     """Assemble product, coproduct and antipode structure constants on the
-    basis {b # g} up to the degree cutoff."""
+    basis {b # g} up to the degree cutoff.  `max_dim` is checked after each
+    degree; BoundExceededError carries the dims of the degrees built."""
     space = datum.space
     group = datum.group
     d = space.dim
-    bases = [GradedBasis(space, 0)]
-    for n in range(1, cutoff + 1):
-        bases.append(GradedBasis(space, n, previous=bases[-1]))
+    bases: list = []
+    try:
+        for n in range(cutoff + 1):
+            bases.append(GradedBasis(space, n, previous=bases[-1] if bases else None))
+            if (total := sum(basis.dim for basis in bases) * group.order) > max_dim:
+                raise BoundExceededError(f"slice dimension {total} exceeds {max_dim}")
+    except BoundExceededError as err:
+        raise BoundExceededError(str(err), partial=tuple(b.dim for b in bases)) from None
     dims = tuple(basis.dim for basis in bases)
-    total = sum(dims) * group.order
-    if total > max_dim:
-        raise BoundExceededError(f"slice dimension {total} exceeds {max_dim}")
-    basis_keys: list[BasisKey] = []
-    for n in range(cutoff + 1):
-        for i in range(dims[n]):
-            for gi in range(group.order):
-                basis_keys.append((n, i, gi))
-    index = {key: pos for pos, key in enumerate(basis_keys)}
+    basis_keys: list[BasisKey] = [(n, i, gi) for n in range(cutoff + 1)
+                                  for i in range(dims[n]) for gi in range(group.order)]
     elements = group.elements
-    # times[i][j]: the index of elements[i] * elements[j], read for every
-    # product and coproduct entry
+    # times[i][j]: the index of elements[i] * elements[j]; the slice's
+    # accessors read it for the group key of every entry
     times = [[group.index(group.mul(g1, g2)) for g2 in elements] for g1 in elements]
     # every kept element is G-homogeneous of the degree of its kept word, so
     # b_j v_x lies on kept words of degree deg(t_j) deg(x): checked on every
@@ -342,8 +363,7 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
     # --- product ---------------------------------------------------------
     # b_i1 * g1.b_i2 = s b_i1 v_w1 ... v_wk, g1.(word of t2) = (w, s): the
     # coordinates are b_i1's carried through the right multiplications
-    # R_w1, ..., R_wk of the degrees above n1, once per (i1, g1, i2); g2
-    # only moves the key
+    # R_w1, ..., R_wk of the degrees above n1, once per (i1, g1, i2)
     unit = CycScalar.one(space.cocycle.order)
     product: dict = {}
     for n1 in range(cutoff + 1):
@@ -357,11 +377,9 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
                         coords = {i1: unit}
                         for k, x in enumerate(word, start=n1 + 1):
                             coords = bases[k].times_letter(coords, x)
-                        terms = [(it, coeff * s) for it, coeff in coords.items()]
-                        for gi2, g12 in enumerate(times[gi1]):
-                            product[((n1, i1, gi1), (n2, i2, gi2))] = {
-                                (total_deg, it, g12): coeff for it, coeff in terms
-                            }
+                        product[((n1, i1, gi1), (n2, i2))] = {
+                            (total_deg, it): coeff * s for it, coeff in coords.items()
+                        }
 
     # --- coproduct -------------------------------------------------------
     # Delta is an algebra map into the braided tensor product, so for the
@@ -369,9 +387,8 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
     # + 1 (x) v_x): a term C b_a (x) b_b of Delta(b_j) gives
     # C s (b_a v_x') (x) b_b + C b_a (x) (b_b v_x), where c(b_b (x) v_x) =
     # s v_x' (x) b_b moves v_x left past the letters of t_b by the cocycle,
-    # at its order N.  split[n][i] = {(k, a, b): C} of Delta(b_i), with both
-    # products read from the right multiplications.  b_b has the group
-    # degree of t_b, so the left group element is deg(t_b) g.
+    # at its order N.  coproduct[(n, i)] = {(k, a, b): C} of Delta(b_i), with
+    # both products read from the right multiplications.
     N, op, exp = space.cocycle.order, space.rack.op, space.cocycle.exponents
 
     def moved(word, x) -> tuple:
@@ -386,37 +403,30 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
         for basis in bases[:-1]
     ]
     # Delta(1) = 1 (x) 1 and Delta(v_x) = v_x (x) 1 + 1 (x) v_x, at order 1;
-    # degree 1 keeps every letter, b_x = v_x
+    # degree 1, when the slice has it, keeps every letter, b_x = v_x
     one = CycScalar.one()
-    split = [[{(0, 0, 0): one}], [{(0, 0, i): one, (1, i, 0): one} for i in range(d)]]
+    coproduct = {(0, 0): {(0, 0, 0): one}}
+    coproduct.update(((1, x), {(0, 0, x): one, (1, x, 0): one}) for x in range(d) if cutoff)
     for n in range(2, cutoff + 1):
         lower = {t: j for j, t in enumerate(bases[n - 1].tags)}
-        split.append([])
-        for t in bases[n].tags:
+        for i, t in enumerate(bases[n].tags):
             x, terms = t % d, {}
-            for (k, a, b), c in split[n - 1][lower[t // d]].items():
+            for (k, a, b), c in coproduct[(n - 1, lower[t // d])].items():
                 x2, s = passes[n - 1 - k][b][x]
                 add_terms(terms, (((k + 1, a2, b), c * s * r)
                                   for a2, r in bases[k + 1].right[x2][a].items()))
                 add_terms(terms, (((k, a, b2), c * r)
                                   for b2, r in bases[n - k].right[x][b].items()))
-            split[-1].append(terms)
-    coproduct = {
-        (n, i, gi): {
-            ((k, a, times[tag_degrees[n - k][b]][gi]), (n - k, b, gi)): value
-            for (k, a, b), value in terms.items()
-        }
-        for n in range(cutoff + 1) for i, terms in enumerate(split[n])
-        for gi in range(group.order)
-    }
+            coproduct[(n, i)] = terms
 
     slice_ = GradedHopfSlice(
         datum=datum,
         cutoff=cutoff,
         basis=basis_keys,
-        index=index,
         product=product,
         coproduct=coproduct,
+        tag_degrees=tag_degrees,
+        times=times,
         antipode={},
         dims=dims,
     )
@@ -438,7 +448,7 @@ def _synthesize_antipode(slice_: GradedHopfSlice):
             antipode[key] = inv_unit
             continue
         acc: Element = {}
-        for (ka, kb), coeff in slice_.coproduct[key].items():
+        for (ka, kb), coeff in slice_.basis_coproduct(key).items():
             if ka[0] == n:
                 if ka != key or kb[0] != 0:
                     raise InternalCheckError("unexpected top coproduct term")
@@ -479,7 +489,8 @@ class _Tables:
 def _compile(slice_: GradedHopfSlice) -> _Tables:
     """Position-indexed structure tables over the `Field` of every product,
     coproduct and antipode constant."""
-    basis, index, D = slice_.basis, slice_.index, slice_.cutoff
+    basis, D = slice_.basis, slice_.cutoff
+    index = {key: pos for pos, key in enumerate(basis)}
     degree = [key[0] for key in basis]
     if degree != sorted(degree):
         raise InternalCheckError("slice basis is not ordered by degree")
@@ -493,13 +504,12 @@ def _compile(slice_: GradedHopfSlice) -> _Tables:
     def row(entry: Element) -> tuple:
         return tuple([(index[k], scalar(c)) for k, c in entry.items()])
 
-    product = [[None] * closed[D - n] for n in degree]
-    for (ka, kb), entry in slice_.product.items():
-        product[index[ka]][index[kb]] = row(entry)
+    product = [[row(slice_.basis_product(ka, kb)) for kb in basis[:closed[D - n]]]
+               for ka, n in zip(basis, degree)]
     coproduct = [
         tuple([
             (index[ka], index[kb], scalar(c))
-            for (ka, kb), c in slice_.coproduct[key].items()
+            for (ka, kb), c in slice_.basis_coproduct(key).items()
         ])
         for key in basis
     ]
@@ -545,7 +555,7 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     sides with == and, only when that fails, again without zero entries,
     which is exact because a zero entry and an absent key are the same
     coordinate.  The group-like and skew-primitive checks read the slice's
-    own dicts."""
+    `basis_coproduct`."""
     datum = slice_.datum
     group = datum.group
     D = slice_.cutoff
@@ -579,7 +589,7 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     axioms.append(("coassociativity", n, "all degrees"))
 
     # unit
-    u = slice_.index[slice_.unit_key()]
+    u = basis.index(slice_.unit_key())
     for p in range(n):
         e = {p: one}
         if not _same(dict(P[u][p]), e):
@@ -653,8 +663,7 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     # group-likes: exactly the degree-0 basis (vertices)
     unit_scalar = CycScalar.one()
     for key in slice_.group_like_keys():
-        expected = {(key, key): unit_scalar}
-        if slice_.coproduct[key] != expected:
+        if slice_.basis_coproduct(key) != {(key, key): unit_scalar}:
             raise AxiomFailsError("group-like", key)
     # a degree-0 combination sum a_g (1 # g) is group-like only when the
     # coefficients satisfy a_g a_h = 0 for g != h and a_g^2 = a_g, which
@@ -666,15 +675,11 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     # skew-primitives: arrows v_x # g between the right vertices
     if D >= 1:
         for x in range(datum.space.dim):
-            for g in group.elements:
-                gi = group.index(g)
+            for gi, g in enumerate(group.elements):
                 key = (1, x, gi)
                 dx = group.index(group.mul(datum.degrees[x], g))
-                expected = {
-                    (key, (0, 0, gi)): unit_scalar,
-                    ((0, 0, dx), key): unit_scalar,
-                }
-                if slice_.coproduct[key] != expected:
+                expected = {(key, (0, 0, gi)): unit_scalar, ((0, 0, dx), key): unit_scalar}
+                if slice_.basis_coproduct(key) != expected:
                     raise AxiomFailsError("skew-primitive", key)
 
     return HopfReport(
@@ -757,29 +762,27 @@ def covering_map_check(
     slice_h = build_slice(source, cutoff)
     slice_g = build_slice(target, cutoff)
 
-    def push(key: BasisKey) -> BasisKey:
-        n, i, gi = key
-        g = hom.apply(group_h.elements[gi])
-        return (n, i, group_g.index(g))
+    image = [group_g.index(hom.apply(h)) for h in group_h.elements]
 
-    def push_element(element: Element) -> Element:
-        out: Element = {}
-        add_terms(out, ((push(key), coeff) for key, coeff in element.items()))
+    def push(key: BasisKey) -> BasisKey:
+        return (*key[:2], image[key[2]])
+
+    def pushed(element: dict, push_key) -> dict:
+        out: dict = {}
+        add_terms(out, ((push_key(key), coeff) for key, coeff in element.items()))
         return out
 
     algebra_checked = 0
-    for (ka, kb), entry in slice_h.product.items():
-        if push_element(entry) != slice_g.product[(push(ka), push(kb))]:
+    for ka, kb in slice_h.closed_pairs():
+        lhs = pushed(slice_h.basis_product(ka, kb), push)
+        if lhs != slice_g.basis_product(push(ka), push(kb)):
             raise YDDatumError("NotCompatible", ("product", ka, kb))
         algebra_checked += 1
 
     coalgebra_checked = 0
-    for key, terms in slice_h.coproduct.items():
-        lhs: dict = {}
-        add_terms(lhs, (
-            ((push(ka), push(kb)), coeff) for (ka, kb), coeff in terms.items()
-        ))
-        if lhs != slice_g.coproduct[push(key)]:
+    for key in slice_h.basis:
+        lhs = pushed(slice_h.basis_coproduct(key), lambda pair: (push(pair[0]), push(pair[1])))
+        if lhs != slice_g.basis_coproduct(push(key)):
             raise YDDatumError("NotCompatible", ("coproduct", key))
         coalgebra_checked += 1
 
@@ -826,15 +829,15 @@ def slice_to_json(slice_: GradedHopfSlice) -> dict:
         "group_order": slice_.datum.group.order,
         "basis": [key_text(k) for k in slice_.basis],
         "product": {
-            f"{key_text(a)} | {key_text(b)}": element_json(entry)
-            for (a, b), entry in sorted(slice_.product.items())
+            f"{key_text(a)} | {key_text(b)}": element_json(slice_.basis_product(a, b))
+            for a, b in slice_.closed_pairs()
         },
         "coproduct": {
             key_text(k): {
                 f"{key_text(a)} | {key_text(b)}": v.to_json()
-                for (a, b), v in sorted(terms.items())
+                for (a, b), v in sorted(slice_.basis_coproduct(k).items())
             }
-            for k, terms in sorted(slice_.coproduct.items())
+            for k in slice_.basis
         },
         "antipode": {
             key_text(k): element_json(entry)

@@ -397,15 +397,15 @@ def cmd_group_coverings(args):
 
 
 def cmd_hopf_bosonize(args):
-    from .bosonization import (
-        build_slice,
-        datum_from_json,
-        slice_to_json,
-        verify_hopf,
-    )
+    from .bosonization import build_slice, datum_from_json, slice_to_json, verify_hopf
 
     datum = datum_from_json(_load_json(args.datum))
-    slice_ = build_slice(datum, args.cutoff, max_dim=args.max_dim)
+    try:
+        slice_ = build_slice(datum, args.cutoff, max_dim=args.max_dim)
+    except BoundExceededError as exc:
+        # every degree built is exact: print their dims before exit 2
+        _emit(args, "hopf bosonize", {"graded_dims": list(exc.partial), "partial": True})
+        raise
     result = {
         "dimension": slice_.dimension,
         "graded_dims": list(slice_.dims),

@@ -1,9 +1,10 @@
-"""Reference Hopf-axiom verifier: every axiom on the slice's keyed dicts.
+"""Reference Hopf-axiom verifier: every axiom on the slice's keyed elements.
 
 The library verifies a slice on position-indexed tables (see
 `rackcover.bosonization.verify_hopf`).  This module keeps the direct
 version it replaced, as a second path to compare against: basis elements
-are `(degree, index, group)` keys, scalars stay the stored `CycScalar`s,
+are `(degree, index, group)` keys, read through the slice's
+`basis_product` and `basis_coproduct`, scalars stay the stored `CycScalar`s,
 and every sum goes through `add_terms`/`axpy`, which drop zeros as they
 go, so two sides are compared with a plain `==`.
 """
@@ -34,7 +35,7 @@ def oracle_verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     # counit
     checked = 0
     for key in slice_.basis:
-        terms = slice_.coproduct[key].items()
+        terms = slice_.basis_coproduct(key).items()
         left: Element = {}
         right: Element = {}
         # epsilon on one slot keeps the other, and only degree 0 survives it
@@ -50,14 +51,14 @@ def oracle_verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     for key in slice_.basis:
         lhs: dict = {}
         rhs: dict = {}
-        for (ka, kb), coeff in slice_.coproduct[key].items():
+        for (ka, kb), coeff in slice_.basis_coproduct(key).items():
             add_terms(lhs, (
                 ((kc, kd, kb), coeff * c2)
-                for (kc, kd), c2 in slice_.coproduct[ka].items()
+                for (kc, kd), c2 in slice_.basis_coproduct(ka).items()
             ))
             add_terms(rhs, (
                 ((ka, kc, kd), coeff * c2)
-                for (kc, kd), c2 in slice_.coproduct[kb].items()
+                for (kc, kd), c2 in slice_.basis_coproduct(kb).items()
             ))
         if lhs != rhs:
             raise AxiomFailsError("coassociativity", key)
@@ -83,7 +84,7 @@ def oracle_verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
         for kb in slice_.basis:
             if ka[0] + kb[0] > D:
                 continue
-            ab = slice_.product[(ka, kb)]
+            ab = slice_.basis_product(ka, kb)
             for kc in slice_.basis:
                 if ka[0] + kb[0] + kc[0] > D:
                     continue
@@ -92,7 +93,7 @@ def oracle_verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
                 for k, coeff in ab.items():
                     axpy(lhs, coeff, slice_.basis_product(k, kc))
                 rhs: Element = {}
-                for k, coeff in slice_.product[(kb, kc)].items():
+                for k, coeff in slice_.basis_product(kb, kc).items():
                     axpy(rhs, coeff, slice_.basis_product(ka, k))
                 if lhs != rhs:
                     raise AxiomFailsError("associativity", (ka, kb, kc))
@@ -109,16 +110,16 @@ def oracle_verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
         for kb in slice_.basis:
             if ka[0] + kb[0] > D:
                 continue
-            ab = slice_.product[(ka, kb)]
+            ab = slice_.basis_product(ka, kb)
             lhs: dict = {}
             for kc, coeff in ab.items():
-                axpy(lhs, coeff, slice_.coproduct[kc])
+                axpy(lhs, coeff, slice_.basis_coproduct(kc))
             rhs: dict = {}
-            for (ka1, ka2), c1 in slice_.coproduct[ka].items():
-                for (kb1, kb2), c2 in slice_.coproduct[kb].items():
+            for (ka1, ka2), c1 in slice_.basis_coproduct(ka).items():
+                for (kb1, kb2), c2 in slice_.basis_coproduct(kb).items():
                     coeff = c1 * c2
-                    left = slice_.product[(ka1, kb1)]
-                    right = slice_.product[(ka2, kb2)]
+                    left = slice_.basis_product(ka1, kb1)
+                    right = slice_.basis_product(ka2, kb2)
                     add_terms(rhs, (
                         ((kl, kr), coeff * cl * cr)
                         for kl, cl in left.items()
@@ -134,7 +135,7 @@ def oracle_verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     for key in slice_.basis:
         lhs: Element = {}
         rhs: Element = {}
-        for (ka, kb), coeff in slice_.coproduct[key].items():
+        for (ka, kb), coeff in slice_.basis_coproduct(key).items():
             sa = apply_antipode(slice_, {ka: coeff})
             add_terms(lhs, slice_.multiply(sa, {kb: one}).items())
             sb = apply_antipode(slice_, {kb: one})
@@ -148,7 +149,7 @@ def oracle_verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     # group-likes: exactly the degree-0 basis (vertices)
     for key in slice_.group_like_keys():
         expected = {(key, key): one}
-        if slice_.coproduct[key] != expected:
+        if slice_.basis_coproduct(key) != expected:
             raise AxiomFailsError("group-like", key)
     group_likes = len(slice_.group_like_keys())
     if group_likes != group.order:
@@ -165,7 +166,7 @@ def oracle_verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
                     (key, (0, 0, gi)): one,
                     ((0, 0, dx), key): one,
                 }
-                if slice_.coproduct[key] != expected:
+                if slice_.basis_coproduct(key) != expected:
                     raise AxiomFailsError("skew-primitive", key)
 
     return HopfReport(

@@ -10,6 +10,7 @@ through the braid-generator tables; coproducts deconcatenate the kept
 vectors.  Both are built one group element at a time.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
 from rackcover.bosonization import GradedHopfSlice, _synthesize_antipode
@@ -159,10 +160,32 @@ def act_on_vector(datum, g, vector, words: TensorWords) -> dict:
     return out
 
 
-def shuffle_slice(datum, cutoff: int) -> GradedHopfSlice:
+@dataclass
+class KeyedSlice:
+    """A slice as dicts keyed by basis keys: `product[(keyA, keyB)]` for
+    every closed pair and `coproduct[key]` for every key.  It has the
+    accessors `_synthesize_antipode` reads, over these dicts."""
+
+    datum: object
+    basis: list
+    product: dict
+    coproduct: dict
+    antipode: dict
+
+    def basis_product(self, ka, kb) -> dict:
+        return self.product[(ka, kb)]
+
+    def basis_coproduct(self, key) -> dict:
+        return self.coproduct[key]
+
+    multiply = GradedHopfSlice.multiply
+
+
+def shuffle_slice(datum, cutoff: int) -> KeyedSlice:
     """The slice with every product b_i1 * g1.b_i2 summed over shuffle
-    lifts and every coproduct split solved again for each group element;
-    the antipode is synthesized from these as in the library."""
+    lifts, once per (b_i1 # g1, b_i2 # g2), and every coproduct split
+    solved again for each group element; the antipode is synthesized from
+    these as in the library."""
     space, group = datum.space, datum.group
     d = space.dim
     elements = group.elements
@@ -217,15 +240,6 @@ def shuffle_slice(datum, cutoff: int) -> GradedHopfSlice:
                             i1, i2 = pairs[tag]
                             add_terms(terms, [(((k, i1, left_g), (n - k, i2, gi)), c)])
 
-    slice_ = GradedHopfSlice(
-        datum=datum,
-        cutoff=cutoff,
-        basis=keys,
-        index={key: pos for pos, key in enumerate(keys)},
-        product=product,
-        coproduct=coproduct,
-        antipode={},
-        dims=dims,
-    )
+    slice_ = KeyedSlice(datum, keys, product, coproduct, antipode={})
     _synthesize_antipode(slice_)
     return slice_

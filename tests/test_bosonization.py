@@ -18,7 +18,13 @@ from rackcover.bosonization import (
 from rackcover.braiding import BraidedSpace, Cocycle, chi_cocycle
 from rackcover.cyclotomic import CycScalar, root_of_unity
 from rackcover.envgroup import hom_from_generator_images
-from rackcover.errors import AxiomFailsError, InternalCheckError, ValidationError, YDDatumError
+from rackcover.errors import (
+    AxiomFailsError,
+    BoundExceededError,
+    InternalCheckError,
+    ValidationError,
+    YDDatumError,
+)
 from rackcover.groups import FiniteGroup
 from rackcover.nichols import GradedBasis, MinimalElement, minimal_elements
 from rackcover.racks import transpositions_rack
@@ -176,17 +182,17 @@ def test_taft_relations_hold():
     group = datum.group
     K = (0, 0, 1)  # 1 # K
     E = (1, 0, 0)  # E # e
-    KE = slice_.product[(K, E)]
-    EK = slice_.product[(E, K)]
+    KE = slice_.basis_product(K, E)
+    EK = slice_.basis_product(E, K)
     q = root_of_unity(3)
     assert set(KE) == set(EK)
     for key, value in KE.items():
         assert value == q * EK[key]
     # E * E * E = 0: E^2 is the degree-2 basis line, and E^2 * E must vanish
-    E2 = slice_.product[(E, E)]
+    E2 = slice_.basis_product(E, E)
     assert E2  # nonzero in degree 2
     (key2, coeff2), = E2.items()
-    assert slice_.product[(key2, E)] == {}
+    assert slice_.basis_product(key2, E) == {}
 
 
 E = (1, 0, 0)
@@ -195,8 +201,8 @@ E = (1, 0, 0)
 # CycScalars; every S_3 chi constant is rational, so it is verified over
 # ints.  x0 x0 = 0 in the chi slice, so its degree-1 product is x0 x1.
 TAMPERED_SLICES = {
-    "taft": (lambda: rank_one_datum(group_order=3, q_order=3), E),
-    "s3-chi": (s3_chi_datum, (1, 1, 0)),
+    "taft": (lambda: rank_one_datum(group_order=3, q_order=3), (1, 0)),
+    "s3-chi": (s3_chi_datum, (1, 1)),
 }
 
 
@@ -205,20 +211,24 @@ def _tamper_cases():
     for name, (_, second) in TAMPERED_SLICES.items():
         prefix = "" if name == "taft" else f"{name}-"
         cases += [
-            pytest.param(name, "product", (E, (0, 0, 1)), "associativity",
+            # the stored row of (E, 1) is also the product E (1 # e), so
+            # the right unit fails first
+            pytest.param(name, "product", (E, (0, 0)), "right unit",
                          id=f"{prefix}product"),
             # associativity is the first axiom to read a degree-1 product
             pytest.param(name, "product", (E, second), "associativity",
                          id=f"{prefix}product-degree-1"),
-            pytest.param(name, "coproduct", E, "counit", id=f"{prefix}coproduct"),
+            pytest.param(name, "coproduct", E[:2], "counit", id=f"{prefix}coproduct"),
             pytest.param(name, "antipode", E, "antipode", id=f"{prefix}antipode"),
         ]
     return cases
 
 
 def _tampered_slice(name, table, key, change):
-    """The cutoff-2 slice with the entry at `key` of one structure table
-    replaced by change(entry)."""
+    """The cutoff-2 slice with the stored entry at `key` of one structure
+    table replaced by change(entry): a product row (keyA, (n2, i2)) is
+    read for every group element of the right factor, and a coproduct
+    (n, i) for every group element."""
     build, _ = TAMPERED_SLICES[name]
     slice_ = build_slice(build(), 2)
     structure = getattr(slice_, table)
@@ -275,7 +285,7 @@ def test_compiled_tables_take_their_field_from_the_constants():
     halved = _tampered_slice(
         "s3-chi", "antipode", E, lambda entry: {k: v * Fraction(1, 2) for k, v in entry.items()})
     tables = _compile(halved)
-    assert [type(c) for _, c in tables.antipode[halved.index[E]]] == [Fraction]
+    assert [type(c) for _, c in tables.antipode[halved.basis.index(E)]] == [Fraction]
     assert tables.one == 1
 
 
@@ -315,14 +325,20 @@ def _exact(table):
 @pytest.mark.parametrize("name", list(SHUFFLE_ORACLE_DATA))
 def test_slice_matches_shuffle_oracle(name):
     # products read off symmetrizer columns against the sum over shuffle
-    # lifts; the relabeled datum moves every word under the group action
+    # lifts, on every closed pair and every key; the relabeled datum moves
+    # every word under the group action
     build, cutoff = SHUFFLE_ORACLE_DATA[name]
     datum = build()
     slice_ = build_slice(datum, cutoff)
     oracle = shuffle_slice(datum, cutoff)
-    for table in ("product", "coproduct", "antipode"):
-        assert getattr(slice_, table) == getattr(oracle, table), table
-        assert _exact(getattr(slice_, table)) == _exact(getattr(oracle, table)), table
+    read = {
+        "product": {pair: slice_.basis_product(*pair) for pair in slice_.closed_pairs()},
+        "coproduct": {key: slice_.basis_coproduct(key) for key in slice_.basis},
+        "antipode": slice_.antipode,
+    }
+    for table, ours in read.items():
+        assert ours == getattr(oracle, table), table
+        assert _exact(ours) == _exact(getattr(oracle, table)), table
 
 
 # the reference verifier keyed by basis tuples, on the stored CycScalars;
@@ -372,7 +388,7 @@ def test_sweedler_antipode_values():
     assert slice_.antipode[K] == {K: one}
     E = (1, 0, 0)
     expected = {
-        key: -value for key, value in slice_.product[(K, E)].items()
+        key: -value for key, value in slice_.basis_product(K, E).items()
     }
     assert slice_.antipode[E] == expected
 
@@ -388,11 +404,41 @@ def test_s3_slice_dimension_and_axioms():
 
 
 def test_slice_bound():
-    from rackcover.errors import BoundExceededError
-
     datum = s3_minus_one_datum()
     with pytest.raises(BoundExceededError):
         build_slice(datum, 2, max_dim=10)
+
+
+def test_slice_bound_is_checked_after_each_degree():
+    # with q = 1 on the transpositions of S_4 the graded components grow
+    # without end; (1 + 6 + 33 + 180) * 24 = 5280 passes the bound at
+    # degree 3, long before degree 12 is reached
+    rack = transpositions_rack(4)
+    space = BraidedSpace(rack, Cocycle.constant(rack, 1))
+    elems = transposition_elements(4)
+    datum = datum_from_generators(
+        space, FiniteGroup.from_permutations(elems, label="S4"), elems)
+    with pytest.raises(BoundExceededError, match="^slice dimension 5280 exceeds 5000$") as exc:
+        build_slice(datum, 12)
+    assert exc.value.partial == (1, 6, 33, 180)
+
+
+def test_slice_stores_one_product_row_per_b1_g1_b2():
+    # g2 only moves the key of (b1 # g1)(b2 # g2), and g only the keys of
+    # Delta(b # g): one row per (b1 # g1, b2) and one coproduct per b
+    slice_ = build_slice(fk4_chi_datum(), 2)
+    dims, order = slice_.dims, slice_.datum.group.order
+    rows = sum(dims[n1] * order * dims[n2] for n1 in range(3) for n2 in range(3 - n1))
+    assert len(slice_.product) == rows == 2088
+    assert len(list(slice_.closed_pairs())) == rows * order
+    assert len(slice_.coproduct) == sum(dims) == 26
+
+
+def test_basis_product_outside_the_slice_raises():
+    slice_ = build_slice(rank_one_datum(group_order=3, q_order=3), 2)
+    assert slice_.basis_product((1, 0, 1), (1, 0, 2))
+    with pytest.raises(BoundExceededError, match="leaves the degree-2 slice"):
+        slice_.basis_product((1, 0, 1), (2, 0, 2))
 
 
 def test_slice_checks_group_degree_homogeneity(monkeypatch):

@@ -227,6 +227,22 @@ def test_hopf_bosonize_sweedler(tmp_path, capsys):
     assert result["all_axioms_pass"] is True
 
 
+def test_hopf_bosonize_bound_prints_partial_result(tmp_path, capsys):
+    # the Sweedler slice has dimension 2 in degree 0 and 4 up to degree 1,
+    # so a bound of 3 trips after degree 1; the dims built are printed
+    path = tmp_path / "sweedler.json"
+    path.write_text(json.dumps(datum_to_json(rank_one_datum(group_order=2, q_order=2))))
+    code, out, err = run(
+        capsys,
+        "hopf", "bosonize", "--datum", str(path), "--cutoff", "2", "--max-dim", "3",
+        "--no-meta",
+    )
+    assert code == 2
+    assert err == "bound exceeded: slice dimension 4 exceeds 3\n"
+    result = json.loads(out)["result"]
+    assert result == {"graded_dims": [1, 1], "partial": True}
+
+
 def test_hopf_cover_c4_to_c2(tmp_path, capsys):
     source = rank_one_datum(group_order=4, q_order=2)
     target = rank_one_datum(group_order=2, q_order=2)

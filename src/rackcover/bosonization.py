@@ -56,7 +56,7 @@ from .errors import (
     malformed,
     require_int,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, closure_words
 from .linalg import add_terms, axpy
 from .nichols import GradedBasis
 
@@ -90,10 +90,7 @@ class YDDatum:
         return tuple(out), scalar
 
     def degree_of_word(self, word) -> object:
-        acc = self.group.identity
-        for x in word:
-            acc = self.group.mul(acc, self.degrees[x])
-        return acc
+        return self.group.product(self.degrees[x] for x in word)
 
     def trivially_acting(self) -> set:
         one = CycScalar.one()
@@ -214,50 +211,24 @@ def rank_one_datum(group_order: int, q_order: int, exponent: int = 1) -> YDDatum
 
 
 def datum_from_generators(space: BraidedSpace, group: FiniteGroup, degrees) -> YDDatum:
-    """Extend the braiding action of the degree elements to the whole group
-    by multiplicative closure; fails if the extension is inconsistent.
-
-    Requires the degrees to generate the group (the rack-type situation)."""
+    """Extend the braiding action of the degree elements to the whole group,
+    which they must generate (the rack-type situation): each element acts
+    through the rows of the letters of its closure word over the degrees.
+    `yd_verify` rejects the result when the degrees do not generate the
+    group or the extension is not a consistent datum."""
     degrees = tuple(degrees)
     if len(degrees) != space.dim:
         raise ValidationError("need one group degree per rack element")
     n = space.dim
-    one = CycScalar.one()
-    base_rows = {}
-    ident_row = tuple((x, one) for x in range(n))
-    action = {group.identity: ident_row}
-    for x, g in enumerate(degrees):
-        row = tuple(
-            (space.rack.op(x, y), space.cocycle.value(x, y)) for y in range(n)
-        )
-        existing = action.get(g)
-        if existing is not None and existing != row:
-            raise YDDatumError("NotAnAction", ("conflicting generators", g))
-        action[g] = row
-    frontier = list(action)
-    gen_rows = {degrees[x]: action[degrees[x]] for x in range(n)}
-    while frontier:
-        nxt = []
-        for e in frontier:
-            row_e = action[e]
-            for g, row_g in gen_rows.items():
-                eg = group.mul(e, g)
-                # v_y -> row_g then row_e
-                combined = []
-                for y in range(n):
-                    y1, s1 = row_g[y]
-                    y2, s2 = row_e[y1]
-                    combined.append((y2, s1 * s2))
-                combined = tuple(combined)
-                existing = action.get(eg)
-                if existing is None:
-                    action[eg] = combined
-                    nxt.append(eg)
-                elif existing != combined:
-                    raise YDDatumError("NotAnAction", ("closure conflict", eg))
-        frontier = nxt
-    if len(action) != group.order:
-        raise YDDatumError("NotAnAction", "degrees do not generate the group")
+    rows = [tuple((space.rack.op(x, y), space.cocycle.value(x, y)) for y in range(n))
+            for x in range(n)]
+    action = {}
+    for e, word in closure_words(group.identity, degrees, group.mul).items():
+        # (e d_x).v_y = e.(d_x.v_y): the letter's row, then the prefix's
+        row = tuple((y, CycScalar.one()) for y in range(n))
+        for x in word:
+            row = tuple((row[y1][0], s1 * row[y1][1]) for y1, s1 in rows[x])
+        action[e] = row
     datum = YDDatum(space, group, degrees, action)
     yd_verify(datum)
     return datum

@@ -60,9 +60,11 @@ def _load_json(path: str) -> dict:
 
 
 def _resolve_rack(args):
-    if getattr(args, "builtin", None):
+    if args.builtin and args.file:
+        raise ValidationError("give one of --builtin and --file, not both")
+    if args.builtin:
         return catalog(args.builtin)
-    if getattr(args, "file", None):
+    if args.file:
         return rack_from_json(_load_json(args.file))
     raise ValidationError("need --builtin or --file")
 
@@ -320,7 +322,9 @@ def cmd_group_envelope(args):
 
 
 def _resolve_presentation(args) -> Presentation:
-    if getattr(args, "presentation", None):
+    if args.presentation:
+        if args.builtin or args.file:
+            raise ValidationError("give one of --presentation and a rack, not both")
         return Presentation.from_json(_load_json(args.presentation))
     rack = _resolve_rack(args)
     return enveloping_presentation(rack)
@@ -338,10 +342,10 @@ def cmd_group_abelianization(args):
 
 def cmd_group_quotient(args):
     rack = _resolve_rack(args)
+    if bool(args.group) != bool(args.images):
+        raise ValidationError("give --group and --images together")
     if args.group:
         target = load_group_json(_load_json(args.group))
-        if not args.images:
-            raise ValidationError("need --images with --group")
         images = _parse_images(args.images, target.elements)
         hom = verify_quotient(enveloping_presentation(rack), target, images)
     else:

@@ -22,9 +22,9 @@ from .errors import (
     RelatorFailsError,
     ValidationError,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, coset_quotient
 from .linalg import abelian_invariants
-from .presentations import Presentation, Word
+from .presentations import Presentation
 from .racks import Rack
 
 # the largest source group `covering_lattice` takes
@@ -51,16 +51,6 @@ def abelianization(presentation: Presentation) -> tuple[int, tuple[int, ...]]:
     )
 
 
-def _evaluate(word: Word, images, group: FiniteGroup):
-    acc = group.identity
-    for letter in word:
-        g = images[abs(letter) - 1]
-        if letter < 0:
-            g = group.inv(g)
-        acc = group.mul(acc, g)
-    return acc
-
-
 @dataclass(frozen=True)
 class GroupHom:
     """A verified homomorphism onto a finite group.
@@ -77,11 +67,7 @@ class GroupHom:
     def apply(self, element):
         if isinstance(self.source, Presentation):
             raise ValidationError("cannot evaluate on abstract group elements")
-        word = self.source.words[element]
-        acc = self.target.identity
-        for gi in word:
-            acc = self.target.mul(acc, self.images[gi])
-        return acc
+        return self.target.product(self.images[gi] for gi in self.source.words[element])
 
     def kernel(self) -> set:
         return {
@@ -105,10 +91,12 @@ def verify_quotient(
         if img not in target:
             raise ValidationError(f"image {img} not in target group")
     for idx, rel in enumerate(presentation.relators):
-        if _evaluate(rel, images, target) != target.identity:
+        value = target.product(images[letter - 1] if letter > 0 else target.inv(images[-letter - 1])
+                               for letter in rel)
+        if value != target.identity:
             raise RelatorFailsError(idx, rel)
     hom = GroupHom(presentation, target, images)
-    if len(target.subgroup_closure(images)) != target.order:
+    if not hom.is_surjective():
         raise NotSurjectiveError("images do not generate the target")
     return hom
 
@@ -184,7 +172,7 @@ def covering_lattice(hom: GroupHom) -> CoveringLattice:
     if not comm <= kernel:
         raise InternalCheckError("[N, H] not inside N")
     # subgroups of the finite abelian group N / [N, H]
-    quotient, proj = _quotient_of_subgroup(source, kernel, comm)
+    quotient, proj = coset_quotient(source, kernel, comm)
     subgroups = _all_subgroups(quotient)
     middles = []
     for sub in subgroups:
@@ -204,27 +192,6 @@ def covering_lattice(hom: GroupHom) -> CoveringLattice:
         middles=tuple(middles),
         coverings=tuple(coverings),
     )
-
-
-def _quotient_of_subgroup(
-    group: FiniteGroup, subset: set, normal: set
-) -> tuple[FiniteGroup, dict]:
-    """Quotient of the subgroup `subset` of `group` by `normal` (a normal
-    subgroup of the whole group contained in `subset`), as a table group
-    plus the projection dict on `subset`."""
-    coset_of: dict = {}
-    reps = []
-    for e in sorted(subset, key=group.index):
-        if e in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(e)
-        for n in normal:
-            coset_of[group.mul(e, n)] = idx
-    table = [
-        [coset_of[group.mul(a, b)] for b in reps] for a in reps
-    ]
-    return FiniteGroup.from_table(table), coset_of
 
 
 def _all_subgroups(group: FiniteGroup) -> list[frozenset]:

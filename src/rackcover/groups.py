@@ -1,5 +1,9 @@
 """Concrete finite groups: permutation closures and multiplication tables.
 
+Each group mechanism is written once: `closure_words` enumerates every
+group, subgroup and datum action from generators, `coset_quotient` builds
+every quotient, and `FiniteGroup.product` multiplies along every word.
+
 Groups are compared by fingerprint (order, abelian invariants, center
 order, element-order histogram) rather than by isomorphism testing, which
 is out of scope.  Elements are hashable values: tuples in one-line
@@ -9,12 +13,53 @@ quotients.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import BoundExceededError, ValidationError, malformed, require_int
 
 Perm = tuple[int, ...]
 
-# the most elements `FiniteGroup.from_permutations` closes a group to
+# the most elements `closure_words` enumerates
 MAX_CLOSURE = 10**6
+
+
+def closure_words(identity, generators, mul) -> dict:
+    """Every element of the group that `generators` generate under `mul`,
+    breadth first from `identity`, mapped to its first word of generator
+    indices: e -> (i1, ..., ik) with e = g_i1 ... g_ik.  The dict keeps
+    the order of discovery, and every word's prefix is the word of an
+    element found before it."""
+    words = {identity: ()}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for gi, g in enumerate(generators):
+                p = mul(e, g)
+                if p not in words:
+                    words[p] = words[e] + (gi,)
+                    nxt.append(p)
+                    if len(words) > MAX_CLOSURE:
+                        raise BoundExceededError(
+                            f"group closure exceeded {MAX_CLOSURE} elements")
+        frontier = nxt
+    return words
+
+
+def coset_quotient(group, subset, normal, label=None) -> tuple:
+    """The quotient of the subgroup `subset` of `group` by `normal`, a
+    normal subgroup of `group` inside `subset`: (table group, dict element
+    of `subset` -> coset).  Cosets are numbered in the order of their first
+    elements in `group.elements`."""
+    coset_of: dict = {}
+    reps = []
+    for e in sorted(subset, key=group.index):
+        if e not in coset_of:
+            for n in normal:
+                coset_of[group.mul(e, n)] = len(reps)
+            reps.append(e)
+    table = [[coset_of[group.mul(a, b)] for b in reps] for a in reps]
+    return FiniteGroup.from_table(table, label=label), coset_of
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
@@ -62,37 +107,10 @@ class FiniteGroup:
         for g in generators:
             if sorted(g) != list(range(degree)):
                 raise ValidationError(f"not a permutation of 0..{degree-1}: {g}")
-        seen_gens = []
-        for g in generators:
-            if g not in seen_gens:
-                seen_gens.append(g)
+        generators = list(dict.fromkeys(generators))
         ident = identity_perm(degree)
-        words = {ident: ()}
-        order_list = [ident]
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for gi, g in enumerate(seen_gens):
-                    prod = perm_compose(e, g)
-                    if prod not in words:
-                        words[prod] = words[e] + (gi,)
-                        order_list.append(prod)
-                        nxt.append(prod)
-                        if len(order_list) > MAX_CLOSURE:
-                            raise BoundExceededError(
-                                f"group closure exceeded {MAX_CLOSURE} elements"
-                            )
-            frontier = nxt
-        return cls(
-            order_list,
-            perm_compose,
-            perm_inverse,
-            ident,
-            seen_gens,
-            words,
-            label=label,
-        )
+        words = closure_words(ident, generators, perm_compose)
+        return cls(words, perm_compose, perm_inverse, ident, generators, words, label=label)
 
     @classmethod
     def from_table(cls, table, label=None, generators=None):
@@ -133,17 +151,7 @@ class FiniteGroup:
             words = {e: (e,) if e != ident else () for e in elements}
             return cls(elements, mul, inv, ident, elements, words, label=label)
         generators = list(generators)
-        words = {ident: ()}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for gi, g in enumerate(generators):
-                    p = mul(e, g)
-                    if p not in words:
-                        words[p] = words[e] + (gi,)
-                        nxt.append(p)
-            frontier = nxt
+        words = closure_words(ident, generators, mul)
         if len(words) != n:
             raise ValidationError("given generators do not generate the group")
         return cls(elements, mul, inv, ident, generators, words, label=label)
@@ -168,6 +176,10 @@ class FiniteGroup:
 
     def index(self, e) -> int:
         return self._index[e]
+
+    def product(self, elements):
+        """The product of `elements`, left to right; the identity if none."""
+        return reduce(self.mul, elements, self.identity)
 
     def element_order(self, e) -> int:
         k, acc = 1, e
@@ -199,19 +211,7 @@ class FiniteGroup:
 
     def subgroup_closure(self, gens) -> set:
         """Subgroup generated by `gens` (finite, so products suffice)."""
-        gens = [g for g in gens]
-        closed = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    p = self.mul(e, g)
-                    if p not in closed:
-                        closed.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return closed
+        return set(closure_words(self.identity, list(gens), self.mul))
 
     def normal_closure(self, gens) -> set:
         """Smallest normal subgroup containing `gens`."""
@@ -250,22 +250,7 @@ class FiniteGroup:
         """(quotient FiniteGroup, dict element -> quotient element)."""
         if not self.is_normal(normal):
             raise ValidationError("subgroup is not normal")
-        coset_of: dict = {}
-        reps = []
-        for e in self.elements:
-            if e in coset_of:
-                continue
-            idx = len(reps)
-            reps.append(e)
-            for n in normal:
-                coset_of[self.mul(e, n)] = idx
-        k = len(reps)
-        table = [
-            [coset_of[self.mul(reps[a], reps[b])] for b in range(k)]
-            for a in range(k)
-        ]
-        quot = FiniteGroup.from_table(table, label=label)
-        return quot, coset_of
+        return coset_quotient(self, self.elements, normal, label=label)
 
     # --- invariants ----------------------------------------------------------
 

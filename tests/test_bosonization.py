@@ -26,8 +26,9 @@ from rackcover.errors import (
     YDDatumError,
 )
 from rackcover.groups import FiniteGroup
+from rackcover.linalg import axpy
 from rackcover.nichols import GradedBasis, MinimalElement, minimal_elements
-from rackcover.racks import transpositions_rack
+from rackcover.racks import Rack, abelian_rack, transpositions_rack
 from rackcover.racks import transposition_elements
 from tests.oracle_hopf import oracle_verify_hopf
 from tests.oracle_shuffle import shuffle_slice
@@ -125,6 +126,43 @@ def test_action_composition_checked():
     with pytest.raises(YDDatumError) as err:
         yd_verify(YDDatum(datum.space, datum.group, datum.degrees, action))
     assert err.value.kind == "NotAnAction"
+
+
+def _extension_cases():
+    """(space, group, degrees, the kind yd_verify rejects the extension with)."""
+    one = abelian_rack(1)
+    two = abelian_rack(2)
+    swap = Rack(((1, 0), (1, 0)))  # x |> y = 1 - y, a permutation rack
+    fk4 = transpositions_rack(4)
+    swapped = list(transposition_elements(4))
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    return {
+        # the degree 2 generates {0, 2} of C4, so 1 and 3 get no action
+        "degrees do not generate": (
+            BraidedSpace(one, Cocycle(one, 2, ((1,),))), FiniteGroup.cyclic(4), (2,),
+            "NotAnAction"),
+        # both letters have degree 1, but scale by -1 different letters
+        "one degree, two translations": (
+            BraidedSpace(two, Cocycle(two, 2, ((1, 0), (0, 1)))), FiniteGroup.cyclic(2),
+            (1, 1), "BraidingMismatch"),
+        # two transpositions trade degrees: the words' rows are no action
+        "not equivariant, no action": (
+            BraidedSpace(fk4, Cocycle.constant_minus_one(fk4)),
+            FiniteGroup.from_permutations(transposition_elements(4)), swapped,
+            "NotAnAction"),
+        # an action, but 1 moves the letter of degree 1 to that of degree 3
+        "not equivariant, grading": (
+            BraidedSpace(swap, Cocycle.constant(swap, 1, 0)), FiniteGroup.cyclic(4), (1, 3),
+            "GradingIncompatible"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_extension_cases()))
+def test_datum_from_generators_rejects_an_inconsistent_extension(case):
+    space, group, degrees, kind = _extension_cases()[case]
+    with pytest.raises(YDDatumError) as err:
+        datum_from_generators(space, group, degrees)
+    assert err.value.kind == kind
 
 
 # --- quotients -----------------------------------------------------------------
@@ -339,6 +377,46 @@ def test_slice_matches_shuffle_oracle(name):
     for table, ours in read.items():
         assert ours == getattr(oracle, table), table
         assert _exact(ours) == _exact(getattr(oracle, table)), table
+
+
+def radford_antipode(slice_):
+    """Radford's biproduct antipode S(b # g) = (1 # (deg(b) g)^-1)(S_B(b) # 1).
+    S_B is the convolution inverse of the identity of B(V) on its kept basis:
+    S_B(1) = 1 and S_B(b) = -sum C S_B(b_a) b_b over the terms C b_a (x) b_b
+    of Delta(b) other than b (x) 1, with B(V)'s products the stored rows at
+    the identity of G."""
+    group = slice_.datum.group
+    e = group.index(group.identity)
+    s_b = {(0, 0): {(0, 0): CycScalar.one()}}
+    for n in range(1, slice_.cutoff + 1):
+        for i in range(slice_.dims[n]):
+            acc = {}
+            for (k, a, b), c in slice_.coproduct[(n, i)].items():
+                if k == n:  # the term b (x) 1
+                    continue
+                for (_, j), cj in s_b[(k, a)].items():
+                    axpy(acc, c * cj, slice_.product[((k, j, e), (n - k, b))])
+            s_b[(n, i)] = {key: -v for key, v in acc.items()}
+    antipode = {}
+    for n, i, gi in slice_.basis:
+        h = group.inv(group.mul(group.elements[slice_.tag_degrees[n][i]], group.elements[gi]))
+        antipode[(n, i, gi)] = out = {}
+        for (_, j), c in s_b[(n, i)].items():
+            axpy(out, c, slice_.basis_product((0, 0, group.index(h)), (n, j, e)))
+    return antipode
+
+
+@pytest.mark.parametrize("name", [*SHUFFLE_ORACLE_DATA, "s3-chi-cutoff-4"])
+def test_antipode_is_radfords_biproduct_antipode(name):
+    build, cutoff = {**SHUFFLE_ORACLE_DATA, "s3-chi-cutoff-4": (s3_chi_datum, 4)}[name]
+    slice_ = build_slice(build(), cutoff)
+    ours = radford_antipode(slice_)
+    assert ours == slice_.antipode
+    # S(1 # g) is stored as 1 at order 1; above degree 0 the forms agree too
+    assert {key: {k: v.to_json() for k, v in entry.items()}
+            for key, entry in ours.items() if key[0] > 0} == {
+        key: {k: v.to_json() for k, v in entry.items()}
+        for key, entry in slice_.antipode.items() if key[0] > 0}
 
 
 # the reference verifier keyed by basis tuples, on the stored CycScalars;

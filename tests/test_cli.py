@@ -489,6 +489,44 @@ def test_bad_images_exit_one(tmp_path, capsys, command, images):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# flags that name a second input, or an input the command would not read;
+# each used to be dropped without a word, and the command exited 0
+CONFLICTING_INPUTS = {
+    "quotient --images without --group":
+        ["group", "quotient", "--builtin", "transpositions:3", "--images", "banana"],
+    "quotient --group without --images":
+        ["group", "quotient", "--builtin", "transpositions:3", "--group", "GROUP"],
+    "tc --builtin and --presentation":
+        ["group", "tc", "--builtin", "transpositions:3", "--presentation", "PRESENTATION"],
+    "abelianization --file and --presentation":
+        ["group", "abelianization", "--file", "RACK", "--presentation", "PRESENTATION"],
+    "rack info --builtin and --file":
+        ["rack", "info", "--builtin", "transpositions:3", "--file", "RACK"],
+    "nichols dims --builtin and --file":
+        ["nichols", "dims", "--builtin", "transpositions:3", "--file", "RACK"],
+}
+
+
+@pytest.mark.parametrize("case", list(CONFLICTING_INPUTS))
+def test_conflicting_inputs_exit_one(tmp_path, capsys, case):
+    files = {
+        "RACK": rack_to_json(abelian_rack(2)),
+        "PRESENTATION": {"generators": 1, "relators": ["x1^2"]},
+        "GROUP": group_to_json(FiniteGroup.from_permutations([(1, 0)])),
+    }
+    argv = []
+    for arg in CONFLICTING_INPUTS[case]:
+        if arg in files:
+            path = tmp_path / f"{arg.lower()}.json"
+            path.write_text(json.dumps(files[arg]))
+            arg = str(path)
+        argv.append(arg)
+    code, out, err = run(capsys, *argv, "--no-meta")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: give ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # each case ends with the bound flag and its value
 NEGATIVE_BOUNDS = {
     "nichols dims": ["nichols", "dims", "--builtin", "transpositions:3", "--max-degree", "-1"],

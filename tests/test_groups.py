@@ -1,13 +1,17 @@
 import pytest
 
-from rackcover.errors import ValidationError
+from rackcover import groups
+from rackcover.errors import BoundExceededError, ValidationError
 from rackcover.groups import (
     FiniteGroup,
+    closure_words,
+    coset_quotient,
     group_to_json,
     load_group_json,
     perm_compose,
     perm_inverse,
 )
+from rackcover.racks import transposition_elements
 
 
 def s_n(n):
@@ -99,6 +103,72 @@ def test_quotient():
     assert proj[s3.identity] == proj[(1, 2, 0)]
     with pytest.raises(ValidationError):
         s3.quotient(s3.subgroup_closure([(1, 0, 2)]))  # not normal
+
+
+# exported slice keys and datum files carry group element indices, so the
+# closure's element order, its words and the coset numbering are pinned
+S4_ELEMENTS = [
+    (0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0), (0, 2, 1, 3), (0, 3, 2, 1),
+    (0, 1, 3, 2), (2, 0, 1, 3), (3, 0, 2, 1), (1, 2, 0, 3), (1, 3, 2, 0), (1, 0, 3, 2),
+    (3, 1, 0, 2), (2, 3, 0, 1), (2, 1, 3, 0), (3, 2, 1, 0), (0, 3, 1, 2), (0, 2, 3, 1),
+    (3, 0, 1, 2), (2, 3, 1, 0), (2, 0, 3, 1), (3, 2, 0, 1), (1, 3, 0, 2), (1, 2, 3, 0),
+]
+S4_WORDS = [
+    (), (0,), (1,), (2,), (3,), (4,), (5,), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+    (1, 2), (1, 4), (1, 5), (2, 3), (3, 4), (3, 5), (0, 1, 2), (0, 1, 4), (0, 1, 5),
+    (0, 2, 3), (0, 3, 4), (0, 3, 5),
+]
+
+
+def test_closure_order_and_words_are_pinned():
+    s4 = FiniteGroup.from_permutations(transposition_elements(4))
+    assert s4.generators == transposition_elements(4)
+    assert s4.elements == S4_ELEMENTS
+    assert [s4.words[e] for e in s4.elements] == S4_WORDS
+    c12 = FiniteGroup.cyclic(12)
+    assert c12.elements == list(range(12))
+    assert [c12.words[e] for e in c12.elements] == [(0,) * k for k in range(12)]
+
+
+def test_quotient_numbers_cosets_by_first_element():
+    s3 = FiniteGroup.from_permutations(transposition_elements(3))
+    quot, proj = s3.quotient(s3.subgroup_closure([(1, 2, 0)]))
+    assert s3.elements == [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (2, 0, 1), (1, 2, 0)]
+    assert [proj[e] for e in s3.elements] == [0, 1, 1, 1, 0, 0]
+    assert quot.elements == [0, 1] and quot.words == {0: (), 1: (1,)}
+
+
+def test_coset_quotient_of_a_subgroup():
+    # A4 / V4 inside S4: three cosets, numbered by their first elements
+    s4 = FiniteGroup.from_permutations(transposition_elements(4))
+    a4 = s4.subgroup_closure([(1, 2, 0, 3), (0, 2, 3, 1)])
+    v4 = s4.subgroup_closure([(1, 0, 3, 2), (2, 3, 0, 1)])
+    quot, proj = coset_quotient(s4, a4, v4)
+    assert quot.order == 3 and set(proj) == a4
+    firsts = [min((e for e in a4 if proj[e] == c), key=s4.index) for c in range(3)]
+    assert firsts == sorted(firsts, key=s4.index)
+    assert all(proj[s4.mul(a, b)] == quot.mul(proj[a], proj[b]) for a in a4 for b in a4)
+
+
+def test_closure_words_multiply_to_their_elements():
+    s4 = FiniteGroup.from_permutations(transposition_elements(4))
+    words = closure_words(s4.identity, s4.generators, s4.mul)
+    assert list(words) == s4.elements
+    assert all(s4.product(s4.generators[i] for i in w) == e for e, w in words.items())
+    assert s4.product([]) == s4.identity
+
+
+def test_closure_is_bounded(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_CLOSURE", 23)
+    with pytest.raises(BoundExceededError, match="exceeded 23 elements"):
+        FiniteGroup.from_permutations(transposition_elements(4))
+    assert FiniteGroup.from_permutations(transposition_elements(3)).order == 6
+
+
+def test_table_generators_must_generate():
+    table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    with pytest.raises(ValidationError, match="do not generate"):
+        FiniteGroup.from_table(table, generators=[2])
 
 
 def test_fingerprint_distinguishes_q8_from_d4():

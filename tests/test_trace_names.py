@@ -3,7 +3,9 @@ run fails when one of those names is gone.  This reads the names from
 `perfbench/tracing.py` with `ast`, without importing it, and resolves each
 against rackcover the way the tracer's `install` does.  A name can resolve
 and still get no call, when the function has lost its last caller; one
-traced benchmark run, in a subprocess, catches that."""
+traced benchmark run, in a subprocess, catches that.  The harness's line
+counter likewise counts only the modules its MODULES list names, and
+skips any other without a word."""
 
 import ast
 import importlib
@@ -58,6 +60,13 @@ def test_every_counted_scalar_operation_resolves():
     assert ops
     missing = [member for member in ops if member not in vars(CycScalar)]
     assert not missing, missing
+
+
+def test_line_count_names_every_module():
+    modules = ast.literal_eval(_assigned("MODULES"))
+    package = ROOT / "src" / "rackcover"
+    on_disk = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert sorted(modules) == sorted(on_disk)
 
 
 def test_traced_run_measures_every_layer():

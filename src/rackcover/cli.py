@@ -38,6 +38,7 @@ from .envgroup import (
 )
 from .errors import (
     BoundExceededError,
+    CosetLimitError,
     InternalCheckError,
     RackcoverError,
     ValidationError,
@@ -366,12 +367,18 @@ def cmd_group_tc(args):
     labels = pres.label_list()
     extras = tuple(parse_word(text, labels) for text in (args.extra_relator or []))
     subgens = tuple(parse_word(text, labels) for text in (args.subgroup or []))
-    index = todd_coxeter(
-        pres,
-        extra_relators=extras,
-        subgroup_generators=subgens,
-        max_cosets=args.max_cosets,
-    )
+    try:
+        index = todd_coxeter(
+            pres,
+            extra_relators=extras,
+            subgroup_generators=subgens,
+            max_cosets=args.max_cosets,
+        )
+    except CosetLimitError as exc:
+        # how far the enumeration got, before exit 2
+        _emit(args, "group tc", {"cosets_defined": exc.table_size,
+                                 "max_cosets": exc.max_cosets, "partial": True})
+        raise
     _emit(args, "group tc", {"index": index, "max_cosets": args.max_cosets})
 
 

@@ -214,22 +214,22 @@ class FiniteGroup:
         return set(closure_words(self.identity, list(gens), self.mul))
 
     def normal_closure(self, gens) -> set:
-        """Smallest normal subgroup containing `gens`."""
-        conj = set()
-        for g in gens:
-            for h in self.generators:
-                conj.add(self.mul(self.mul(h, g), self.inv(h)))
-        current = self.subgroup_closure(set(gens) | conj)
-        while True:
-            extra = set()
-            for e in current:
-                for h in self.generators:
-                    c = self.mul(self.mul(h, e), self.inv(h))
-                    if c not in current:
-                        extra.add(c)
-            if not extra:
-                return current
-            current = self.subgroup_closure(current | extra)
+        """Smallest normal subgroup containing `gens`.  A candidate becomes
+        a generator only when the subgroup so far does not hold it, and
+        only those generators are conjugated by `self.generators`: every
+        conjugate h k h^-1 of a kept k then lies in the closure, so it is
+        normal."""
+        kept: list = []
+        current = {self.identity}
+        pending = list(gens)
+        while pending:
+            g = pending.pop()
+            if g in current:
+                continue
+            kept.append(g)
+            current = self.subgroup_closure(kept)
+            pending += [self.mul(self.mul(h, g), self.inv(h)) for h in self.generators]
+        return current
 
     def derived_subgroup(self) -> set:
         comms = [

@@ -337,6 +337,63 @@ def test_s3_chi_slice_at_cutoff_4_checks_every_instance():
     }
 
 
+def test_fk4_chi_slice_at_cutoff_2_checks_every_instance():
+    # the closed-form counts: sum over degree triples summing to <= 2 of
+    # (dims * |G|) products, with dims (1, 6, 19) and |G| = 24
+    slice_ = build_slice(fk4_chi_datum(), 2)
+    assert slice_.dims == (1, 6, 19)
+    counts = {name: count for name, count, _ in verify_hopf(slice_).axioms}
+    assert counts == {
+        "counit": 624, "coassociativity": 624, "unit": 624,
+        "associativity": 2543616, "bialgebra": 50112, "antipode": 624,
+    }
+
+
+# a row read for a group element other than index 0 that is not the right
+# translate of the row at index 0: scaled, or left at the keys of index 0
+NOT_TRANSLATES = {
+    "scaled": lambda read, key, origin: {k: v * 2 for k, v in read(key).items()},
+    "untranslated": lambda read, key, origin: read(origin),
+}
+
+
+@pytest.mark.parametrize("change", list(NOT_TRANSLATES))
+def test_verify_hopf_rejects_a_product_table_that_is_not_right_equivariant(
+    monkeypatch, change
+):
+    slice_ = build_slice(s3_chi_datum(), 2)
+    original = slice_.basis_product
+    c, c0 = (1, 1, 2), (1, 1, 0)  # c = c0 t for the t at index 2
+
+    def basis_product(ka, kb):
+        if (ka, kb) == (E, c):
+            return NOT_TRANSLATES[change](lambda k: original(ka, k), c, c0)
+        return original(ka, kb)
+
+    assert original(E, c)
+    monkeypatch.setattr(slice_, "basis_product", basis_product)
+    with pytest.raises(InternalCheckError, match="not right G-equivariant"):
+        verify_hopf(slice_)
+
+
+@pytest.mark.parametrize("change", list(NOT_TRANSLATES))
+def test_verify_hopf_rejects_a_coproduct_table_that_is_not_right_equivariant(
+    monkeypatch, change
+):
+    slice_ = build_slice(s3_chi_datum(), 2)
+    original = slice_.basis_coproduct
+    p, p0 = (2, 1, 3), (2, 1, 0)
+
+    def basis_coproduct(key):
+        if key == p:
+            return NOT_TRANSLATES[change](original, p, p0)
+        return original(key)
+
+    monkeypatch.setattr(slice_, "basis_coproduct", basis_coproduct)
+    with pytest.raises(InternalCheckError, match="not right G-equivariant"):
+        verify_hopf(slice_)
+
+
 SHUFFLE_ORACLE_DATA = {
     "s3-chi": (s3_chi_datum, 3),
     "s3-minus-one": (s3_minus_one_datum, 3),

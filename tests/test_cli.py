@@ -197,6 +197,18 @@ def test_group_tc_limit_exit_code(capsys):
     assert "exceeded" in err
 
 
+def test_group_tc_bound_prints_partial_result(capsys):
+    code, out, err = run(
+        capsys,
+        "group", "tc", "--builtin", "transpositions:6", "--extra-relator", "x1 x1",
+        "--max-cosets", "50", "--no-meta",
+    )
+    assert code == 2
+    assert err == "bound exceeded: coset table exceeded 50 cosets (defined 50)\n"
+    result = json.loads(out)["result"]
+    assert result == {"cosets_defined": 50, "max_cosets": 50, "partial": True}
+
+
 def test_group_coverings(tmp_path, capsys):
     c4 = FiniteGroup.from_permutations([(1, 2, 3, 0)])
     c2 = FiniteGroup.from_permutations([(1, 0)])

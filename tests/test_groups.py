@@ -11,7 +11,7 @@ from rackcover.groups import (
     perm_compose,
     perm_inverse,
 )
-from rackcover.racks import transposition_elements
+from rackcover.racks import catalog, transposition_elements
 
 
 def s_n(n):
@@ -93,6 +93,52 @@ def test_subgroup_and_normal_closure():
     assert len(s3.subgroup_closure([rot])) == 3
     swap = (1, 0, 2)
     assert len(s3.normal_closure([swap])) == 6
+
+
+def _normal_closure_by_every_conjugate(group, gens):
+    """The reference: close over `gens` and their conjugates, then add
+    every conjugate of every element until nothing new appears."""
+    conj = {group.mul(group.mul(h, g), group.inv(h)) for g in gens for h in group.generators}
+    current = group.subgroup_closure(set(gens) | conj)
+    while True:
+        extra = {group.mul(group.mul(h, e), group.inv(h))
+                 for e in current for h in group.generators} - current
+        if not extra:
+            return current
+        current = group.subgroup_closure(current | extra)
+
+
+@pytest.mark.parametrize("spec", [
+    "transpositions:4", "transpositions:5", "tetrahedron", "affine:7,3", "four_cycles_S4",
+])
+def test_normal_closure_matches_the_closure_over_every_conjugate(spec):
+    inner = catalog(spec).inner_group()
+    comms = [inner.commutator(a, b) for a in inner.generators for b in inner.generators]
+    derived = inner.derived_subgroup()
+    assert derived == _normal_closure_by_every_conjugate(inner, comms)
+    assert inner.is_normal(derived)
+    # one generator's normal closure, too: the whole rack's inner group here
+    first = inner.generators[0]
+    assert inner.normal_closure([first]) == _normal_closure_by_every_conjugate(inner, [first])
+
+
+def test_normal_closure_keeps_only_new_generators():
+    # A_7 from the commutators of S_7's transpositions: each kept generator
+    # at least doubles the subgroup, so a handful of closures suffice
+    inner = catalog("transpositions:7").inner_group()
+    count = 0
+    mul = inner.mul
+
+    def counting(a, b):
+        nonlocal count
+        count += 1
+        return mul(a, b)
+
+    comms = [inner.commutator(a, b) for a in inner.generators for b in inner.generators]
+    inner.mul = counting
+    derived = inner.normal_closure(comms)
+    assert len(derived) == 2520
+    assert count < 20_000
 
 
 def test_quotient():

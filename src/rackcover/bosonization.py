@@ -25,21 +25,22 @@ graded image bases and g in G:
 
 A slice stores one product row b * g.b' per (b # g, b') and one coproduct
 per b, both over B(V)'s kept basis; `GradedHopfSlice.basis_product` and
-`basis_coproduct` add the group keys above when read, and only they do.
-The antipode is stored per basis element b # g.
+`basis_coproduct` add the group keys above when read.  The antipode is
+stored per basis element b # g.
 
 Axioms that cannot close inside a degree-D slice (products whose total
 degree exceeds D) are skipped and reported as such; everything else is
-checked exactly on basis elements.  The verifier compiles the slice once
-into tables indexed by basis position: products for the closed degree
-pairs only, as rows of (position, scalar), and coproducts and antipodes
-per position, over the `cyclotomic.Field` of the constants.  Sums keep
-the zeros that cancellation leaves, and two sides are compared with ==
-and, only when that fails, again with zero entries dropped; a zero entry
-and an absent key are the same coordinate, so both comparisons are exact.
-Since the group keys are derived on read, the tables are right
-G-equivariant; the verifier checks that, and then decides each right
-G-orbit of associativity triples and bialgebra pairs with one evaluation.
+checked exactly on basis elements.  The verifier compiles the slice once,
+as stored, over the `cyclotomic.Field` of the constants: one product row
+of (level of B(V)'s basis, scalar) per stored (b # g, b') in closed
+degrees, and coproducts and antipodes per basis position, with the group
+keys added by the same rules as the accessors.  Sums keep the zeros that
+cancellation leaves, and two sides are compared with == and, only when
+that fails, again with zero entries dropped; a zero entry and an absent
+key are the same coordinate, so both comparisons are exact.  A product
+row does not depend on g', so the tables are right G-equivariant by
+construction, and the verifier decides each right G-orbit of
+associativity triples and bialgebra pairs with one evaluation.
 """
 
 from __future__ import annotations
@@ -450,11 +451,15 @@ class HopfReport:
 @dataclass
 class _Tables:
     """A slice compiled for verification: basis elements are positions in
-    `slice_.basis`, which is ordered by degree."""
+    `slice_.basis`, ordered (degree, index, group) with the group fastest,
+    so b_j # elements[g] sits at j |G| + g for the level j of B(V)'s kept
+    basis element b_j."""
 
     degree: list  # degree of each position
     closed: list  # closed[m]: the positions of degree <= m are range(closed[m])
-    product: list  # product[a][b]: ((position, scalar), ...), closed pairs only
+    # product[a][j]: the stored row of (basis[a], b_j), ((level, scalar), ...),
+    # for the levels j closed with basis[a]; its group index is g_a g_b
+    product: list
     coproduct: list  # coproduct[p]: ((left, right, scalar), ...)
     antipode: list  # antipode[p]: ((position, scalar), ...)
     one: object  # the unit scalar of the tables' field
@@ -462,32 +467,39 @@ class _Tables:
 
 def _compile(slice_: GradedHopfSlice) -> _Tables:
     """Position-indexed structure tables over the `Field` of every product,
-    coproduct and antipode constant."""
-    basis, D = slice_.basis, slice_.cutoff
-    index = {key: pos for pos, key in enumerate(basis)}
+    coproduct and antipode constant, read from the slice as stored."""
+    basis, D, G = slice_.basis, slice_.cutoff, slice_.datum.group.order
+    levels = [(n, i) for n, dim in enumerate(slice_.dims) for i in range(dim)]
+    if basis != [(n, i, g) for n, i in levels for g in range(G)]:
+        raise InternalCheckError("slice basis is not ordered (degree, index, group)")
+    level = {key: j for j, key in enumerate(levels)}
     degree = [key[0] for key in basis]
-    if degree != sorted(degree):
-        raise InternalCheckError("slice basis is not ordered by degree")
     closed = [bisect_right(degree, m) for m in range(D + 1)]
     tables = (slice_.product, slice_.coproduct, slice_.antipode)
     field = Field(
         c for table in tables for entry in table.values() for c in entry.values()
     )
     scalar = field.internal
+    tag_degrees, times = slice_.tag_degrees, slice_.times
 
-    def row(entry: Element) -> tuple:
-        return tuple([(index[k], scalar(c)) for k, c in entry.items()])
-
-    product = [[row(slice_.basis_product(ka, kb)) for kb in basis[:closed[D - n]]]
-               for ka, n in zip(basis, degree)]
+    product = [
+        [tuple([(level[k], scalar(c)) for k, c in slice_.product[(ka, lv)].items()])
+         for lv in levels[:closed[D - ka[0]] // G]]
+        for ka in basis
+    ]
+    # Delta(b # g) = sum C (b_a # deg(b_b) g) (x) (b_b # g) over Delta(b)
     coproduct = [
         tuple([
-            (index[ka], index[kb], scalar(c))
-            for (ka, kb), c in slice_.basis_coproduct(key).items()
+            (level[(k, a)] * G + times[tag_degrees[n - k][b]][g],
+             level[(n - k, b)] * G + g, scalar(c))
+            for (k, a, b), c in slice_.coproduct[(n, i)].items()
         ])
+        for n, i, g in basis
+    ]
+    antipode = [
+        tuple([(level[k[:2]] * G + k[2], scalar(c)) for k, c in slice_.antipode[key].items()])
         for key in basis
     ]
-    antipode = [row(slice_.antipode[key]) for key in basis]
     return _Tables(degree, closed, product, coproduct, antipode, field.one)
 
 
@@ -513,63 +525,38 @@ def _same(lhs: dict, rhs: dict) -> bool:
     )
 
 
-def _check_right_equivariance(slice_: GradedHopfSlice, tables: _Tables):
-    """Raise InternalCheckError unless the compiled tables are right
-    G-equivariant (see `verify_hopf`), entry by entry and in order, as
-    they are when every row is read through `basis_product` and
-    `basis_coproduct`."""
-    group, basis, times = slice_.datum.group, slice_.basis, slice_.times
-    index = {key: pos for pos, key in enumerate(basis)}
-    # orbit[p] = (p0, tau): basis[p] = (n, i, h) is the translate of
-    # basis[p0] = (n, i, 0) by the t with elements[0] t = elements[h]
-    first_inv = group.inv(group.elements[0])
-    shift = [[index[(m, i, times[g][t])] for m, i, g in basis]
-             for t in (group.index(group.mul(first_inv, h)) for h in group.elements)]
-    orbit = [(index[(m, i, 0)], shift[h]) for m, i, h in basis]
-    for p, (p0, tau) in enumerate(orbit):
-        if p != p0 and tables.coproduct[p] != tuple(
-                [(tau[l], tau[r], s) for l, r, s in tables.coproduct[p0]]):
-            raise InternalCheckError(
-                f"coproduct of {basis[p]} is not right G-equivariant")
-    for a, row in enumerate(tables.product):
-        for c, entry in enumerate(row):
-            c0, tau = orbit[c]
-            if c != c0 and entry != tuple([(tau[k], s) for k, s in row[c0]]):
-                raise InternalCheckError(
-                    f"product {basis[a]} * {basis[c]} is not right G-equivariant")
-
-
 def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     """Exact checks of the Hopf axioms on every slice basis element; raises
     AxiomFailsError, with basis keys as the witness, at the first
     violation.  Products are only evaluated in closed degrees (total degree
     within the cutoff); the report lists what was skipped for that reason.
 
-    The slice is compiled once (`_compile`): basis elements become their
-    positions in `slice_.basis`, the product table holds the closed degree
-    pairs as rows of (position, scalar), and coproducts and antipodes are
-    tuples per position, over the `Field` of the constants rather than of
-    the cocycle.  Sums start from their first term and keep the zeros that
-    cancellation leaves; `_same` compares two sides with == and, only when
-    that fails, again without zero entries, which is exact because a zero
-    entry and an absent key are the same coordinate.  The group-like and
-    skew-primitive checks read the slice's `basis_coproduct`.
+    The slice is compiled once (`_compile`), as it is stored: basis
+    elements become their positions j |G| + g in `slice_.basis`, the
+    product table holds one row of (level, scalar) per stored (b1 # g1, b2)
+    in closed degrees, each product (b1 # g1)(b2 # g2) lying at group index
+    g1 g2, and coproducts and antipodes are tuples per position, over the
+    `Field` of the constants rather than of the cocycle.  Sums start from
+    their first term and keep the zeros that cancellation leaves; `_same`
+    compares two sides with == and, only when that fails, again without
+    zero entries, which is exact because a zero entry and an absent key
+    are the same coordinate.
 
     Associativity and bialgebra compatibility are decided one right
     G-orbit at a time.  With tau_t the map of positions (n, i, h) ->
-    (n, i, h t), the tables satisfy P[a][c t] = tau_t(P[a][c]) and
-    C[p t] = (tau_t (x) tau_t)(C[p]), since every row is read through
-    `basis_product` and `basis_coproduct`; `_check_right_equivariance`
-    checks both on the compiled tables and raises InternalCheckError
-    otherwise.  Then both sides of associativity at (a, b, c t) are
-    tau_t of the sides at (a, b, c), and both sides of bialgebra
-    compatibility at (a, b t) are tau_t (x) tau_t of those at (a, b).
-    tau_t is a bijection, so one exact comparison decides every translate:
-    only the c (resp. b) at group index 0 is evaluated, and each
-    evaluation counts |G| instances.  A failing orbit fails whole, and its
-    member at group index 0 comes first in basis order, so the witness is
-    the first failing instance in basis order.  Every other axiom is
-    evaluated on every instance, in basis order."""
+    (n, i, h t), the tables are right G-equivariant by construction: a
+    product row does not depend on g2, which only sets the group index
+    g1 g2, and C[p t] = (tau_t (x) tau_t)(C[p]) since the group product is
+    associative.  Both sides of associativity at (a, b, c t) therefore have
+    the level coordinates of those at (a, b, c), at group index
+    (g_a g_b) g_c t = g_a (g_b g_c t), and both sides of bialgebra
+    compatibility at (a, b t) are tau_t (x) tau_t of those at (a, b).  So
+    one exact comparison decides every translate: only the c (resp. b) at
+    group index 0 is evaluated, once per level of B(V), and each evaluation
+    counts |G| instances.  A failing orbit fails whole, and its member at
+    group index 0 comes first in basis order, so the witness is the first
+    failing instance in basis order.  Every other axiom is evaluated on
+    every instance, in basis order."""
     datum = slice_.datum
     group = datum.group
     D = slice_.cutoff
@@ -578,10 +565,13 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     tables = _compile(slice_)
     degree, closed, one = tables.degree, tables.closed, tables.one
     P, C, S = tables.product, tables.coproduct, tables.antipode
-    _check_right_equivariance(slice_, tables)
-    G = group.order
-    # reps[m]: the positions of degree <= m at group index 0, one per orbit
-    reps = [[p for p in range(closed[m]) if basis[p][2] == 0] for m in range(D + 1)]
+    G, times = group.order, slice_.times
+
+    def at(a: int, c: int) -> list:
+        """The product of positions a and c as [(position, scalar), ...]."""
+        t = times[a % G][c % G]
+        return [(k * G + t, s) for k, s in P[a][c // G]]
+
     axioms = []
     skipped = []
 
@@ -610,24 +600,25 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     u = basis.index(slice_.unit_key())
     for p in range(n):
         e = {p: one}
-        if not _same(dict(P[u][p]), e):
+        if not _same(dict(at(u, p)), e):
             raise AxiomFailsError("left unit", basis[p])
-        if not _same(dict(P[p][u]), e):
+        if not _same(dict(at(p, u)), e):
             raise AxiomFailsError("right unit", basis[p])
     axioms.append(("unit", n, "all degrees"))
 
-    # associativity in closed degrees: (ab)c and a(bc), one product row per
-    # term, for one c per right G-orbit (the hot loop: its sums are spelled
-    # out, as in `_gather`)
+    # associativity in closed degrees: (ab)c and a(bc) on the levels of
+    # B(V), one product row per term, for the level c of each right G-orbit
+    # (the hot loop: its sums are spelled out, as in `_gather`)
     checked = 0
     for a in range(n):
-        Pa = P[a]
-        for b, ab in enumerate(Pa):
-            Pb = P[b]
-            for c in reps[D - degree[a] - degree[b]]:
+        Pa, ta = P[a], times[a % G]
+        for b in range(closed[D - degree[a]]):
+            Pb, t = P[b], ta[b % G]
+            rows = [(P[k * G + t], x) for k, x in Pa[b // G]]  # ab, at g_a g_b
+            for c in range(closed[D - degree[a] - degree[b]] // G):
                 lhs = {}
-                for k, x in ab:
-                    for k2, y in P[k][c]:
+                for Pk, x in rows:
+                    for k2, y in Pk[c]:
                         if k2 in lhs:
                             lhs[k2] += x * y
                         else:
@@ -640,7 +631,7 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
                         else:
                             rhs[k2] = x * y
                 if lhs != rhs and not _same(lhs, rhs):
-                    raise AxiomFailsError("associativity", (basis[a], basis[b], basis[c]))
+                    raise AxiomFailsError("associativity", (basis[a], basis[b], basis[c * G]))
                 checked += G
     axioms.append(("associativity", checked, f"degree triples summing to <= {D}"))
     if D >= 1:
@@ -649,19 +640,17 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
         )
 
     # bialgebra compatibility in closed degrees, on pairs read as one int,
-    # for one b per right G-orbit
+    # for the b at group index 0 of each right G-orbit
     checked = 0
     for a in range(n):
-        Pa = P[a]
-        for b in reps[D - degree[a]]:
-            ab = Pa[b]
-            lhs = _gather((k1 * n + k2, x * y) for k, x in ab for k1, k2, y in C[k])
+        for b in range(0, closed[D - degree[a]], G):
+            lhs = _gather((k1 * n + k2, x * y) for k, x in at(a, b) for k1, k2, y in C[k])
             rhs = _gather(
                 (kl * n + kr, c1 * c2 * cl * cr)
                 for a1, a2, c1 in C[a]
                 for b1, b2, c2 in C[b]
-                for kl, cl in P[a1][b1]
-                for kr, cr in P[a2][b2]
+                for kl, cl in at(a1, b1)
+                for kr, cr in at(a2, b2)
             )
             if not _same(lhs, rhs):
                 raise AxiomFailsError("bialgebra", (basis[a], basis[b]))
@@ -671,20 +660,19 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     # antipode identities (always closed: coproduct legs share the degree)
     for p in range(n):
         lhs = _gather(
-            (k2, c * s * y) for a, b, c in C[p] for k, s in S[a] for k2, y in P[k][b]
+            (k2, c * s * y) for a, b, c in C[p] for k, s in S[a] for k2, y in at(k, b)
         )
         rhs = _gather(
-            (k2, c * s * y) for a, b, c in C[p] for k, s in S[b] for k2, y in P[a][k]
+            (k2, c * s * y) for a, b, c in C[p] for k, s in S[b] for k2, y in at(a, k)
         )
         target = {u: one} if degree[p] == 0 else {}
         if not (_same(lhs, target) and _same(rhs, target)):
             raise AxiomFailsError("antipode", basis[p])
     axioms.append(("antipode", n, "all degrees"))
 
-    # group-likes: exactly the degree-0 basis (vertices)
-    unit_scalar = CycScalar.one()
-    for key in slice_.group_like_keys():
-        if slice_.basis_coproduct(key) != {(key, key): unit_scalar}:
+    # group-likes: exactly the degree-0 basis (vertices), at positions 0..|G|-1
+    for p, key in enumerate(slice_.group_like_keys()):
+        if C[p] != ((p, p, one),):
             raise AxiomFailsError("group-like", key)
     # a degree-0 combination sum a_g (1 # g) is group-like only when the
     # coefficients satisfy a_g a_h = 0 for g != h and a_g^2 = a_g, which
@@ -693,15 +681,14 @@ def verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     if group_likes != group.order:
         raise AxiomFailsError("group-like count", group_likes)
 
-    # skew-primitives: arrows v_x # g between the right vertices
+    # skew-primitives: arrows v_x # g between the right vertices; degree 1
+    # keeps every letter, b_x = v_x at level 1 + x
     if D >= 1:
         for x in range(datum.space.dim):
             for gi, g in enumerate(group.elements):
-                key = (1, x, gi)
-                dx = group.index(group.mul(datum.degrees[x], g))
-                expected = {(key, (0, 0, gi)): unit_scalar, ((0, 0, dx), key): unit_scalar}
-                if slice_.basis_coproduct(key) != expected:
-                    raise AxiomFailsError("skew-primitive", key)
+                p, dx = (1 + x) * G + gi, group.index(group.mul(datum.degrees[x], g))
+                if {(l, r): s for l, r, s in C[p]} != {(p, gi): one, (dx, p): one}:
+                    raise AxiomFailsError("skew-primitive", basis[p])
 
     return HopfReport(
         dimension=slice_.dimension,

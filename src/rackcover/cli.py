@@ -718,8 +718,11 @@ def build_parser() -> argparse.ArgumentParser:
 # and Table 5.2 starts at n = 3
 _BOUND_MINIMUM = {"max_degree": 0, "cutoff": 0, "max_cols": 1, "max_dim": 1,
                   "max_cosets": 1, "n_max": 3}
-# the greatest --max-degree: the kernel dimension d^n of the top degree
-# still prints as a JSON integer for every d below about 20000
+# the greatest --max-degree and --cutoff: the kernel dimension d^n of the
+# top degree still prints as a JSON integer for every d below about 20000,
+# and a slice visits every degree pair up to its cutoff, past the top
+# degree of a finite B(V) too, so its build time grows with the square of
+# the cutoff
 MAX_DEGREE = 1000
 
 
@@ -730,9 +733,11 @@ def _check_bounds(args):
             flag = "--" + name.replace("_", "-")
             least = "nonnegative" if minimum == 0 else f"at least {minimum}"
             raise ValidationError(f"{flag} must be {least}, got {value}")
-    degree = getattr(args, "max_degree", None)
-    if degree is not None and degree > MAX_DEGREE:
-        raise ValidationError(f"--max-degree must be at most {MAX_DEGREE}, got {degree}")
+    for name in ("max_degree", "cutoff"):
+        value = getattr(args, name, None)
+        if value is not None and value > MAX_DEGREE:
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be at most {MAX_DEGREE}, got {value}")
 
 
 @functools.cache

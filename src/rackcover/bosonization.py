@@ -19,14 +19,13 @@ graded image bases and g in G:
   is an algebra map into the braided tensor product, so
   Delta(b v_x) = Delta(b)(v_x (x) 1 + 1 (x) v_x) builds it letter by
   letter from the same right multiplications R_x, with no elimination;
-* antipode:  synthesized degree by degree as the convolution inverse of
-  the identity (the degree-0 part is a group algebra, so the inverse is
-  determined), then verified against both antipode identities.
+* antipode:  Radford's S(b # g) = (1 # (deg(b) g)^-1)(S_B(b) # 1), with S_B
+  the convolution inverse of B(V)'s identity (J. Algebra 92 (1985)).
 
-A slice stores one product row b * g.b' per (b # g, b') and one coproduct
-per b, both over B(V)'s kept basis; `GradedHopfSlice.basis_product` and
-`basis_coproduct` add the group keys above when read.  The antipode is
-stored per basis element b # g.
+A slice stores one product row b * g.b' per (b # g, b'), and one Delta(b)
+and one S_B(b) per b, over B(V)'s kept basis up to its top degree; the
+`basis_product`, `basis_coproduct` and `basis_antipode` of
+`GradedHopfSlice` add the group keys above when read.
 
 Axioms that cannot close inside a degree-D slice (products whose total
 degree exceeds D) are skipped and reported as such; everything else is
@@ -255,7 +254,7 @@ class GradedHopfSlice:
     coproduct: dict  # (n, i) -> {(k, a, b): scalar}, Delta(b_i) over B(V)'s basis
     tag_degrees: list  # tag_degrees[n][i]: the group degree index of b_i
     times: list  # times[i][j]: the index of elements[i] * elements[j]
-    antipode: dict  # key -> Element
+    antipode: dict  # (n, i) -> {(n, j): scalar}, S_B(b_i) over B(V)'s basis
     dims: tuple
 
     @property
@@ -291,18 +290,25 @@ class GradedHopfSlice:
         return {((k, a, self.times[self.tag_degrees[n - k][b]][gi]), (n - k, b, gi)): c
                 for (k, a, b), c in self.coproduct[(n, i)].items()}
 
-    def multiply(self, a: Element, b: Element) -> Element:
-        out: Element = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                axpy(out, ca * cb, self.basis_product(ka, kb))
-        return out
+    def basis_antipode(self, key: BasisKey) -> Element:
+        """S(b # g) = (1 # h)(S_B(b) # 1), h = (deg(b) g)^-1: the stored rows
+        of (1 # h, b_j); S(1 # g) keeps the order of the stored S_B(1)."""
+        n, i, gi = key
+        group = self.datum.group
+        h = group.index(group.inv(group.elements[self.times[self.tag_degrees[n][i]][gi]]))
+        if n == 0:
+            return {(0, 0, h): c for c in self.antipode[(0, 0)].values()}
+        out: dict = {}
+        for (_, j), c in self.antipode[(n, i)].items():
+            axpy(out, c, self.product[((0, 0, h), (n, j))])
+        return {(m, k, h): c for (m, k), c in out.items()}
 
 
 def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfSlice:
-    """Assemble product, coproduct and antipode structure constants on the
-    basis {b # g} up to the degree cutoff.  `max_dim` is checked after each
-    degree; BoundExceededError carries the dims of the degrees built."""
+    """Structure constants on the basis {b # g} up to the degree cutoff.  No
+    graded basis is built past B(V)'s first zero degree; `dims` is zero from
+    there to the cutoff.  `max_dim` is checked after each degree;
+    BoundExceededError carries the dims of the degrees built."""
     space = datum.space
     group = datum.group
     d = space.dim
@@ -312,10 +318,13 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
             bases.append(GradedBasis(space, n, previous=bases[-1] if bases else None))
             if (total := sum(basis.dim for basis in bases) * group.order) > max_dim:
                 raise BoundExceededError(f"slice dimension {total} exceeds {max_dim}")
+            if not bases[-1].dim:
+                break
     except BoundExceededError as err:
         raise BoundExceededError(str(err), partial=tuple(b.dim for b in bases)) from None
-    dims = tuple(basis.dim for basis in bases)
-    basis_keys: list[BasisKey] = [(n, i, gi) for n in range(cutoff + 1)
+    dims = tuple(basis.dim for basis in bases) + (0,) * (cutoff + 1 - len(bases))
+    top = max(n for n, dim in enumerate(dims) if dim)
+    basis_keys: list[BasisKey] = [(n, i, gi) for n in range(top + 1)
                                   for i in range(dims[n]) for gi in range(group.order)]
     elements = group.elements
     # times[i][j]: the index of elements[i] * elements[j]; the slice's
@@ -328,7 +337,7 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
         [group.index(datum.degree_of_word(basis.words.word(t))) for t in basis.tags]
         for basis in bases
     ]
-    for n in range(1, cutoff + 1):
+    for n in range(1, len(bases)):
         for x, rows in enumerate(bases[n].right):
             gx = group.index(datum.degrees[x])
             if any(tag_degrees[n][i] != times[tag_degrees[n - 1][j]][gx]
@@ -338,11 +347,12 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
     # --- product ---------------------------------------------------------
     # b_i1 * g1.b_i2 = s b_i1 v_w1 ... v_wk, g1.(word of t2) = (w, s): the
     # coordinates are b_i1's carried through the right multiplications
-    # R_w1, ..., R_wk of the degrees above n1, once per (i1, g1, i2)
+    # R_w1, ..., R_wk of the degrees above n1, once per (i1, g1, i2), until
+    # they vanish at B(V)'s first zero degree
     unit = CycScalar.one(space.cocycle.order)
     product: dict = {}
-    for n1 in range(cutoff + 1):
-        for n2 in range(cutoff + 1 - n1):
+    for n1 in range(top + 1):
+        for n2 in range(min(top, cutoff - n1) + 1):
             total_deg = n1 + n2
             words = bases[n2].words
             for i1 in range(dims[n1]):
@@ -351,6 +361,8 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
                         word, s = datum.act_on_word(g1, words.word(t2))
                         coords = {i1: unit}
                         for k, x in enumerate(word, start=n1 + 1):
+                            if not coords:
+                                break
                             coords = bases[k].times_letter(coords, x)
                         product[((n1, i1, gi1), (n2, i2))] = {
                             (total_deg, it): coeff * s for it, coeff in coords.items()
@@ -375,14 +387,14 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
 
     passes = [  # passes[m][b][x] = moved(t_b, x), for the kept words of degree m
         [[moved(basis.words.word(t), x) for x in range(d)] for t in basis.tags]
-        for basis in bases[:-1]
+        for basis in bases[:top]
     ]
     # Delta(1) = 1 (x) 1 and Delta(v_x) = v_x (x) 1 + 1 (x) v_x, at order 1;
     # degree 1, when the slice has it, keeps every letter, b_x = v_x
     one = CycScalar.one()
     coproduct = {(0, 0): {(0, 0, 0): one}}
     coproduct.update(((1, x), {(0, 0, x): one, (1, x, 0): one}) for x in range(d) if cutoff)
-    for n in range(2, cutoff + 1):
+    for n in range(2, top + 1):
         lower = {t: j for j, t in enumerate(bases[n - 1].tags)}
         for i, t in enumerate(bases[n].tags):
             x, terms = t % d, {}
@@ -394,7 +406,26 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
                                   for b2, r in bases[n - k].right[x][b].items()))
             coproduct[(n, i)] = terms
 
-    slice_ = GradedHopfSlice(
+    # --- antipode --------------------------------------------------------
+    # S_B, the convolution inverse of the identity on B(V)'s kept basis:
+    # S_B(1) = 1 at order 1, and S_B(b) = -sum C S_B(b_a) b_b over the terms
+    # C b_a (x) b_b of Delta(b) other than its top one, b (x) 1, with B(V)'s
+    # products the stored rows at the identity of G
+    e = group.index(group.identity)
+    antipode = {(0, 0): {(0, 0): one}}
+    for n in range(1, top + 1):
+        for i in range(dims[n]):
+            acc: dict = {}
+            for (k, a, b), c in coproduct[(n, i)].items():
+                if k == n:
+                    if a != i:
+                        raise InternalCheckError("unexpected top coproduct term")
+                    continue
+                for (_, j), cj in antipode[(k, a)].items():
+                    axpy(acc, c * cj, product[((k, j, e), (n - k, b))])
+            antipode[(n, i)] = {key: -v for key, v in acc.items()}
+
+    return GradedHopfSlice(
         datum=datum,
         cutoff=cutoff,
         basis=basis_keys,
@@ -402,35 +433,9 @@ def build_slice(datum: YDDatum, cutoff: int, max_dim: int = 5000) -> GradedHopfS
         coproduct=coproduct,
         tag_degrees=tag_degrees,
         times=times,
-        antipode={},
+        antipode=antipode,
         dims=dims,
     )
-    _synthesize_antipode(slice_)
-    return slice_
-
-
-def _synthesize_antipode(slice_: GradedHopfSlice):
-    """Convolution inverse of the identity, degree by degree: S(1 # g) =
-    1 # g^-1, and S(x) (1 # g) = -sum S(x1) x2 over the terms of Delta(x)
-    other than its top one, x (x) (1 # g), for x = b # g in degree > 0."""
-    group = slice_.datum.group
-    antipode = slice_.antipode
-    one = CycScalar.one()
-    for key in sorted(slice_.basis):
-        n, _, gi = key
-        inv_unit = {(0, 0, group.index(group.inv(group.elements[gi]))): one}
-        if n == 0:
-            antipode[key] = inv_unit
-            continue
-        acc: Element = {}
-        for (ka, kb), coeff in slice_.basis_coproduct(key).items():
-            if ka[0] == n:
-                if ka != key or kb[0] != 0:
-                    raise InternalCheckError("unexpected top coproduct term")
-                continue
-            add_terms(acc, slice_.multiply(antipode[ka], {kb: coeff}).items())
-        neg = {kt: -ct for kt, ct in acc.items()}
-        antipode[key] = slice_.multiply(neg, inv_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +502,8 @@ def _compile(slice_: GradedHopfSlice) -> _Tables:
         for n, i, g in basis
     ]
     antipode = [
-        tuple([(level[k[:2]] * G + k[2], scalar(c)) for k, c in slice_.antipode[key].items()])
+        tuple([(level[k[:2]] * G + k[2], scalar(c))
+               for k, c in slice_.basis_antipode(key).items()])
         for key in basis
     ]
     return _Tables(degree, closed, product, coproduct, antipode, field.one)
@@ -710,8 +716,8 @@ class HopfCoveringMap:
     kernel_size: int
     lifts_per_element: int
     minimal_elements_checked: int
-    algebra_checked: int
-    coalgebra_checked: int
+    algebra_products_checked: int  # |H| closed pairs per stored product row
+    coproducts_checked: int
 
 
 def covering_map_check(
@@ -723,11 +729,12 @@ def covering_map_check(
     agrees with the target), every fiber of f has |ker f| elements (so the
     basis map b # h -> b # f(h) is |ker f| to one, reported as
     `lifts_per_element`), and the induced basis map is an algebra morphism
-    in closed degrees and a coalgebra morphism everywhere.  The words of
-    each minimal element of degrees 2..cutoff have one degree in the
-    source group, so the relators the covering group is presented by hold
-    there; they are counted as `minimal_elements_checked`, and their
-    lifts are not checked one by one."""
+    in closed degrees and a coalgebra morphism everywhere, on the slices as
+    stored.  The words of each minimal element of degree >= 2 have one
+    degree in the source group, so the relators the covering group is
+    presented by hold there; they are counted as `minimal_elements_checked`,
+    and their lifts are not checked one by one.  BoundExceededError carries
+    a slice's dims, or the report up to the last degree completed."""
     from .nichols import minimal_elements as _minimal_elements
 
     group_h = source.group
@@ -770,48 +777,47 @@ def covering_map_check(
     slice_h = build_slice(source, cutoff)
     slice_g = build_slice(target, cutoff)
 
+    # (b1 # h1)(b2 # h2) is the stored row of (b1 # h1, b2) at h1 h2, and
+    # Delta(b # h) the stored Delta(b) with group keys from the tag degrees
+    # and h: so with f multiplicative and keeping every tag degree, the
+    # stored rows and coproducts decide every closed pair and every basis
+    # coproduct, |H| closed pairs per row
     image = [group_g.index(hom.apply(h)) for h in group_h.elements]
-
-    def push(key: BasisKey) -> BasisKey:
-        return (*key[:2], image[key[2]])
-
-    def pushed(element: dict, push_key) -> dict:
-        out: dict = {}
-        add_terms(out, ((push_key(key), coeff) for key, coeff in element.items()))
-        return out
-
-    algebra_checked = 0
-    for ka, kb in slice_h.closed_pairs():
-        lhs = pushed(slice_h.basis_product(ka, kb), push)
-        if lhs != slice_g.basis_product(push(ka), push(kb)):
-            raise YDDatumError("NotCompatible", ("product", ka, kb))
-        algebra_checked += 1
-
-    coalgebra_checked = 0
-    for key in slice_h.basis:
-        lhs = pushed(slice_h.basis_coproduct(key), lambda pair: (push(pair[0]), push(pair[1])))
-        if lhs != slice_g.basis_coproduct(push(key)):
+    times_h, times_g = slice_h.times, slice_g.times
+    if any(image[times_h[a][b]] != times_g[image[a]][image[b]]
+           for a in range(group_h.order) for b in range(group_h.order)):
+        raise YDDatumError("NotCompatible", "group map not multiplicative")
+    if [[image[t] for t in row] for row in slice_h.tag_degrees] != slice_g.tag_degrees:
+        raise YDDatumError("NotCompatible", "tag degrees differ")
+    for (ka, lb), row in slice_h.product.items():
+        if row != slice_g.product[((*ka[:2], image[ka[2]]), lb)]:
+            raise YDDatumError("NotCompatible", ("product", ka, lb))
+    for key, terms in slice_h.coproduct.items():
+        if terms != slice_g.coproduct[key]:
             raise YDDatumError("NotCompatible", ("coproduct", key))
-        coalgebra_checked += 1
+
+    def report(minimal_checked: int) -> HopfCoveringMap:
+        return HopfCoveringMap(len(kernel), len(kernel), minimal_checked,
+                               len(slice_h.product) * group_h.order, len(slice_h.basis))
 
     # a minimal element's words lie in one braid-group orbit, and a braid
-    # move keeps the product of the degrees
+    # move keeps the product of the degrees; a zero B^n has none, so the
+    # pass ends at B(V)'s top degree.  A support bound carries the counts
+    # of the degrees completed.
     minimal_checked = 0
-    for degree in range(2, cutoff + 1):
-        for element in _minimal_elements(source.space, degree):
+    for degree in range(2, max(n for n, dim in enumerate(slice_h.dims) if dim) + 1):
+        try:
+            found = _minimal_elements(source.space, degree)
+        except BoundExceededError as err:
+            raise BoundExceededError(str(err), partial=report(minimal_checked)) from None
+        for element in found:
             first, *rest = map(source.degree_of_word, element.words)
             if any(g != first for g in rest):
                 raise InternalCheckError(
                     f"minimal element {element.words} spans several degrees"
                 )
             minimal_checked += 1
-    return HopfCoveringMap(
-        kernel_size=len(kernel),
-        lifts_per_element=len(kernel),
-        minimal_elements_checked=minimal_checked,
-        algebra_checked=algebra_checked,
-        coalgebra_checked=coalgebra_checked,
-    )
+    return report(minimal_checked)
 
 
 # ---------------------------------------------------------------------------
@@ -847,10 +853,7 @@ def slice_to_json(slice_: GradedHopfSlice) -> dict:
             }
             for k in slice_.basis
         },
-        "antipode": {
-            key_text(k): element_json(entry)
-            for k, entry in sorted(slice_.antipode.items())
-        },
+        "antipode": {key_text(k): element_json(slice_.basis_antipode(k)) for k in slice_.basis},
     }
 
 

@@ -437,25 +437,24 @@ def cmd_hopf_bosonize(args):
 
 
 def cmd_hopf_cover(args):
+    from dataclasses import asdict
+
     from .bosonization import covering_map_check, datum_from_json
 
     source = datum_from_json(_load_json(args.source))
     target = datum_from_json(_load_json(args.target))
     images = _parse_images(args.images, target.group.elements)
     hom = hom_from_generator_images(source.group, target.group, images)
-    result = covering_map_check(source, target, hom, cutoff=args.cutoff)
-    _emit(
-        args,
-        "hopf cover",
-        {
-            "verified": True,
-            "kernel_size": result.kernel_size,
-            "lifts_per_element": result.lifts_per_element,
-            "minimal_elements_checked": result.minimal_elements_checked,
-            "algebra_products_checked": result.algebra_checked,
-            "coproducts_checked": result.coalgebra_checked,
-        },
-    )
+    try:
+        result = covering_map_check(source, target, hom, cutoff=args.cutoff)
+    except BoundExceededError as exc:
+        # a slice above 5000 basis elements carries the dims it built, the
+        # minimal-element pass the counts up to its last complete degree
+        partial = exc.partial
+        done = {"graded_dims": list(partial)} if isinstance(partial, tuple) else asdict(partial)
+        _emit(args, "hopf cover", {**done, "partial": True})
+        raise
+    _emit(args, "hopf cover", {"verified": True, **asdict(result)})
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +719,9 @@ _BOUND_MINIMUM = {"max_degree": 0, "cutoff": 0, "max_cols": 1, "max_dim": 1,
                   "max_cosets": 1, "n_max": 3}
 # the greatest --max-degree and --cutoff: the kernel dimension d^n of the
 # top degree still prints as a JSON integer for every d below about 20000,
-# and a slice visits every degree pair up to its cutoff, past the top
-# degree of a finite B(V) too, so its build time grows with the square of
-# the cutoff
+# and an infinite B(V) (one letter with q = 1) has a nonzero degree up to
+# any cutoff, where its slice builds in time cubic in the cutoff (0.5 s at
+# 100 and 3.6 s at 200 over the trivial group)
 MAX_DEGREE = 1000
 
 

@@ -4,9 +4,9 @@ The library verifies a slice on position-indexed tables (see
 `rackcover.bosonization.verify_hopf`).  This module keeps the direct
 version it replaced, as a second path to compare against: basis elements
 are `(degree, index, group)` keys, read through the slice's
-`basis_product` and `basis_coproduct`, scalars stay the stored `CycScalar`s,
-and every sum goes through `add_terms`/`axpy`, which drop zeros as they
-go, so two sides are compared with a plain `==`.
+`basis_product`, `basis_coproduct` and `basis_antipode`, scalars stay the
+stored `CycScalar`s, and every sum goes through `add_terms`/`axpy`, which
+drop zeros as they go, so two sides are compared with a plain `==`.
 """
 
 from rackcover.bosonization import Element, GradedHopfSlice, HopfReport
@@ -15,10 +15,19 @@ from rackcover.errors import AxiomFailsError
 from rackcover.linalg import add_terms, axpy
 
 
+def multiply(slice_, a: Element, b: Element) -> Element:
+    """The product of two keyed elements, one basis product per term."""
+    out: Element = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            axpy(out, ca * cb, slice_.basis_product(ka, kb))
+    return out
+
+
 def apply_antipode(slice_: GradedHopfSlice, element: Element) -> Element:
     out: Element = {}
     for key, coeff in element.items():
-        axpy(out, coeff, slice_.antipode[key])
+        axpy(out, coeff, slice_.basis_antipode(key))
     return out
 
 
@@ -70,9 +79,9 @@ def oracle_verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
     checked = 0
     for key in slice_.basis:
         e = {key: one}
-        if slice_.multiply(unit, e) != e:
+        if multiply(slice_, unit, e) != e:
             raise AxiomFailsError("left unit", key)
-        if slice_.multiply(e, unit) != e:
+        if multiply(slice_, e, unit) != e:
             raise AxiomFailsError("right unit", key)
         checked += 1
     axioms.append(("unit", checked, "all degrees"))
@@ -137,9 +146,9 @@ def oracle_verify_hopf(slice_: GradedHopfSlice) -> HopfReport:
         rhs: Element = {}
         for (ka, kb), coeff in slice_.basis_coproduct(key).items():
             sa = apply_antipode(slice_, {ka: coeff})
-            add_terms(lhs, slice_.multiply(sa, {kb: one}).items())
+            add_terms(lhs, multiply(slice_, sa, {kb: one}).items())
             sb = apply_antipode(slice_, {kb: one})
-            add_terms(rhs, slice_.multiply({ka: coeff}, sb).items())
+            add_terms(rhs, multiply(slice_, {ka: coeff}, sb).items())
         target = {slice_.unit_key(): one} if key[0] == 0 else {}
         if lhs != target or rhs != target:
             raise AxiomFailsError("antipode", key)

@@ -13,11 +13,12 @@ vectors.  Both are built one group element at a time.
 from dataclasses import dataclass
 from itertools import combinations
 
-from rackcover.bosonization import GradedHopfSlice, _synthesize_antipode
 from rackcover.cyclotomic import CycScalar
+from rackcover.errors import InternalCheckError
 from rackcover.groups import identity_perm, perm_compose
 from rackcover.linalg import IncrementalSpan, add_terms
 from rackcover.nichols import TensorWords, symmetrizer_matrix
+from tests.oracle_hopf import multiply
 
 
 # --- permutations and reduced words ---------------------------------------------
@@ -163,8 +164,8 @@ def act_on_vector(datum, g, vector, words: TensorWords) -> dict:
 @dataclass
 class KeyedSlice:
     """A slice as dicts keyed by basis keys: `product[(keyA, keyB)]` for
-    every closed pair and `coproduct[key]` for every key.  It has the
-    accessors `_synthesize_antipode` reads, over these dicts."""
+    every closed pair, and `coproduct[key]` and `antipode[key]` for every
+    key.  It has the accessors `multiply` reads, over these dicts."""
 
     datum: object
     basis: list
@@ -178,14 +179,12 @@ class KeyedSlice:
     def basis_coproduct(self, key) -> dict:
         return self.coproduct[key]
 
-    multiply = GradedHopfSlice.multiply
-
 
 def shuffle_slice(datum, cutoff: int) -> KeyedSlice:
     """The slice with every product b_i1 * g1.b_i2 summed over shuffle
     lifts, once per (b_i1 # g1, b_i2 # g2), and every coproduct split
     solved again for each group element; the antipode is synthesized from
-    these as in the library."""
+    these per basis element b # g (`synthesize_antipode`)."""
     space, group = datum.space, datum.group
     d = space.dim
     elements = group.elements
@@ -241,5 +240,31 @@ def shuffle_slice(datum, cutoff: int) -> KeyedSlice:
                             add_terms(terms, [(((k, i1, left_g), (n - k, i2, gi)), c)])
 
     slice_ = KeyedSlice(datum, keys, product, coproduct, antipode={})
-    _synthesize_antipode(slice_)
+    synthesize_antipode(slice_)
     return slice_
+
+
+def synthesize_antipode(slice_: KeyedSlice):
+    """Convolution inverse of the identity, degree by degree: S(1 # g) =
+    1 # g^-1, and S(x) (1 # g) = -sum S(x1) x2 over the terms of Delta(x)
+    other than its top one, x (x) (1 # g), for x = b # g in degree > 0.
+    The library takes S from B(V)'s braided antipode by Radford's formula
+    instead, on B(V)'s basis alone."""
+    group = slice_.datum.group
+    antipode = slice_.antipode
+    one = CycScalar.one()
+    for key in sorted(slice_.basis):
+        n, _, gi = key
+        inv_unit = {(0, 0, group.index(group.inv(group.elements[gi]))): one}
+        if n == 0:
+            antipode[key] = inv_unit
+            continue
+        acc: dict = {}
+        for (ka, kb), coeff in slice_.basis_coproduct(key).items():
+            if ka[0] == n:
+                if ka != key or kb[0] != 0:
+                    raise InternalCheckError("unexpected top coproduct term")
+                continue
+            add_terms(acc, multiply(slice_, antipode[ka], {kb: coeff}).items())
+        neg = {kt: -ct for kt, ct in acc.items()}
+        antipode[key] = multiply(slice_, neg, inv_unit)

@@ -12,6 +12,7 @@ import rackcover
 from rackcover.bosonization import (
     YDDatum,
     datum_from_generators,
+    datum_from_json,
     datum_to_json,
     rank_one_datum,
     yd_verify,
@@ -271,6 +272,46 @@ def test_hopf_cover_c4_to_c2(tmp_path, capsys):
     )
     assert result["verified"] is True
     assert result["lifts_per_element"] == 2
+
+
+def _identity_cover_argv(path) -> list:
+    """`hopf cover` of the datum file onto itself by the identity map."""
+    group = datum_from_json(json.loads(path.read_text())).group
+    images = ",".join(str(group.elements.index(g) + 1) for g in group.generators)
+    return ["hopf", "cover", "--source", str(path), "--target", str(path),
+            "--images", images, "--no-meta"]
+
+
+def test_hopf_cover_slice_bound_prints_the_dims_built(tmp_path, capsys):
+    # with q = 1 on the transpositions of S_4, (1 + 6 + 33 + 180) * 24 =
+    # 5280 basis elements pass the slice bound of 5000 at degree 3
+    rack = transpositions_rack(4)
+    elems = transposition_elements(4)
+    datum = datum_from_generators(BraidedSpace(rack, Cocycle.constant(rack, 1)),
+                                  FiniteGroup.from_permutations(elems, label="S4"), elems)
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(datum_to_json(datum)))
+    code, out, err = run(capsys, *_identity_cover_argv(path), "--cutoff", "4")
+    assert code == 2
+    assert err == "bound exceeded: slice dimension 5280 exceeds 5000\n"
+    assert json.loads(out)["result"] == {"graded_dims": [1, 6, 33, 180], "partial": True}
+
+
+def test_hopf_cover_support_bound_prints_the_degrees_completed(tmp_path, capsys, monkeypatch):
+    # the S_3 chi minimal elements lie in word blocks of at most 3 words in
+    # degree 2 and of 8 in degree 3: a support bound of 4 stops the pass
+    # after the 6 elements of degree 2, with every map check done
+    monkeypatch.setattr("rackcover.linalg.MAX_SUPPORT_AMBIENT", 4)
+    write_s3_chi_datum(tmp_path / "s3chi.json")
+    code, out, err = run(capsys, *_identity_cover_argv(tmp_path / "s3chi.json"), "--cutoff", "3")
+    assert code == 2
+    assert err == "bound exceeded: ambient dimension 8 exceeds bound 4\n"
+    # 54 stored rows (b1, b2) of B(V)'s dims (1, 3, 4, 3) in closed degrees,
+    # each for 6 group elements h1 and counted for 6 h2; 11 * 6 coproducts
+    assert json.loads(out)["result"] == {
+        "kernel_size": 1, "lifts_per_element": 1, "minimal_elements_checked": 6,
+        "algebra_products_checked": 54 * 6 * 6, "coproducts_checked": 66, "partial": True,
+    }
 
 
 def test_unknown_builtin_exit_code(capsys):
@@ -548,7 +589,7 @@ NEGATIVE_BOUNDS = {
         ["nichols", "relators", "--builtin", "transpositions:3", "--max-degree", "-1"],
     "hopf bosonize": ["hopf", "bosonize", "--datum", "DATUM", "--verify", "--cutoff", "-1"],
     "hopf cover": ["hopf", "cover", "--source", "DATUM", "--target", "DATUM",
-                   "--images", "1", "--cutoff", "-2"],
+                   "--images", "1,2", "--cutoff", "-2"],
     "nichols dims --max-cols 0":
         ["nichols", "dims", "--builtin", "transpositions:3", "--max-cols", "0"],
     "nichols dims --max-cols -5":
@@ -602,9 +643,10 @@ def test_max_degree_above_bound_exits_one(capsys, rack, cocycle, degree):
     assert code == 0 and json.loads(out)["result"]["kernel_dims"][-1] > 0
 
 
-# a slice visits every degree pair up to its cutoff: unbounded, building and
-# verifying the 16-dimensional C4 slice took 0.5 s at cutoff 1600 and 1.2 s
-# at 3200, exited 0, and a cutoff of 100000 would run for many minutes
+# an infinite B(V) (one letter with q = 1) has a nonzero degree up to any
+# cutoff, and its slice builds in time cubic in the cutoff; the bound itself
+# is taken, and on the finite B(V) = k[x]/(x^2) both commands stop building
+# at degree 2, so cutoff 1000 costs what cutoff 2 does
 @pytest.mark.parametrize("command", ["hopf bosonize", "hopf cover"])
 def test_cutoff_above_bound_exits_one(tmp_path, capsys, command):
     path = tmp_path / "c2.json"
@@ -613,9 +655,9 @@ def test_cutoff_above_bound_exits_one(tmp_path, capsys, command):
     code, out, err = run(capsys, *argv, "100000", "--no-meta")
     assert (code, out) == (1, "")
     assert err == "error: --cutoff must be at most 1000, got 100000\n"
-    if command == "hopf bosonize":  # the bound itself is taken
-        code, out, _ = run(capsys, *argv, "1000", "--no-meta")
-        assert code == 0 and json.loads(out)["result"]["all_axioms_pass"] is True
+    code, out, _ = run(capsys, *argv, "1000", "--no-meta")
+    passed = "all_axioms_pass" if command == "hopf bosonize" else "verified"
+    assert code == 0 and json.loads(out)["result"][passed] is True
 
 
 # sha256 of the --no-meta stdout as the README promises it byte-stable; a

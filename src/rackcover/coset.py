@@ -13,11 +13,13 @@ and backward as far as the table is defined:
   goes on.
 
 After its relators the coset's row is filled: every undefined edge gets a
-new coset.  Whole passes repeat until one defines nothing and merges
-nothing.  The table is then certified closed: every live row is complete
-and consistent with its inverse edges, every relator closes at every live
-coset and every subgroup generator closes at coset 0.  A certificate that
-fails is a bug, raised as InternalCheckError.
+new coset.  One such pass closes the table (Handbook, section 5.1): a
+relator that closes at a coset still closes after a coincidence, and a
+row once filled stays filled, so every live coset left when the pass ends
+was scanned and filled while live.  The table is then certified closed:
+every live row is complete and consistent with its inverse edges, every
+relator closes at every live coset and every subgroup generator closes at
+coset 0.  A certificate that fails is a bug, raised as InternalCheckError.
 
 `CosetTable.add_coset` is the only place a coset is defined.  It raises
 CosetLimitError once the number of cosets defined would pass the budget.
@@ -98,22 +100,28 @@ class CosetTable:
     def scan_and_fill(self, c: int, symbols: tuple[int, ...]):
         """Make `symbols` close at the live coset c, defining cosets only
         where the forward and backward scans leave a gap."""
+        # `target` inlined: `find` only for an edge to a merged coset
+        labels, neighbors = self.labels, self.neighbors
         f, b = c, c
         i, j = 0, len(symbols) - 1
         while True:
             while i <= j:
-                nxt = self.target(f, symbols[i])
+                nxt = neighbors[f][symbols[i]]
                 if nxt == _UNDEF:
                     break
+                if labels[nxt] != nxt:
+                    nxt = self.find(nxt)
                 f, i = nxt, i + 1
             if i > j:
                 if f != c:
                     self.unify(f, c)
                 return
             while j >= i:
-                prev = self.target(b, symbols[j] ^ 1)
+                prev = neighbors[b][symbols[j] ^ 1]
                 if prev == _UNDEF:
                     break
+                if labels[prev] != prev:
+                    prev = self.find(prev)
                 b, j = prev, j - 1
             if j < i:
                 self.unify(f, b)
@@ -139,22 +147,21 @@ def _enumerate(
     # coset 0, the subgroup, stays live: unify keeps the smaller coset
     for word in subgroup:
         table.scan_and_fill(0, word)
-    while True:
-        defined_before, live_before = len(table.labels), len(table.live())
-        c = 0
-        while c < len(table.labels):
-            for rel in relators:
-                if table.find(c) != c:
-                    break
-                table.scan_and_fill(c, rel)
-            if table.find(c) == c:
-                row = table.neighbors[c]
-                for sym in range(table.nsyms):
-                    if row[sym] == _UNDEF:
-                        table.define(c, sym)
-            c += 1
-        if len(table.labels) == defined_before and len(table.live()) == live_before:
-            return table
+    # one pass: a coset is live exactly when it is its own label
+    labels = table.labels
+    c = 0
+    while c < len(labels):
+        for rel in relators:
+            if labels[c] != c:
+                break
+            table.scan_and_fill(c, rel)
+        if labels[c] == c:
+            row = table.neighbors[c]
+            for sym in range(table.nsyms):
+                if row[sym] == _UNDEF:
+                    table.define(c, sym)
+        c += 1
+    return table
 
 
 def _certify_closed(

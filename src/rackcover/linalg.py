@@ -9,9 +9,9 @@ pivot as seldom as possible, since the matrices arising from quantum
 symmetrizers and braided derivations are monomial-sparse.  `rank_kernel`
 feeds it the columns of a matrix; `support_minimal_vectors` feeds it the
 spanning vectors and walks the vanishing-coordinate cuts of the kept ones,
-one pivot step (`_cut`) per constraint.  `determinant` keeps its own
-row-swap elimination, so that it checks the ranks of the 1 + c blocks
-independently of the span.
+one node per flat of constraints and one pivot step (`_cut`) per node.
+`determinant` keeps its own row-swap elimination, so that it checks the
+ranks of the 1 + c blocks independently of the span.
 
 Sparse vectors, here and in the modules built on this one, are dicts
 key -> scalar that never store a zero.  Only the kernel adds into them:
@@ -435,8 +435,11 @@ def support_minimal_vectors(
     one-dimensional cuts of k-1 vanishing-coordinate constraints, so the
     C(ambient, k-1) constraint subsets give the answer; MAX_SUPPORT_SUBSETS
     bounds that count, and MAX_SUPPORT_AMBIENT bounds `ambient`.
-    `_minimal_by_constraint_cuts` walks the subsets from the spanning
-    vectors that one `IncrementalSpan` keeps, over their `Field`.
+    `_minimal_by_constraint_cuts` walks them from the spanning vectors
+    that one `IncrementalSpan` keeps, over their `Field`, entering each
+    flat the constraints span once; it cuts far fewer than C(ambient, k-1)
+    times, but the bound stays on that count, which depends on the span
+    alone.
     """
     if ambient > MAX_SUPPORT_AMBIENT:
         raise BoundExceededError(
@@ -472,35 +475,79 @@ def _minimal_by_constraint_cuts(basis, ambient):
     """The normalized vectors cut out by the (dim-1)-subsets of vanishing
     constraints whose cut is one-dimensional, one per support of size >= 2.
 
-    The subsets are walked depth first in lexicographic order.  A node
-    holds a basis of its cut {v in span : v_i = 0 for i chosen}, as
-    ambient vectors, and a child's cut is one pivot step away (`_cut`).
-    A constraint that no basis vector holds depends on the earlier ones,
-    so every subset through it cuts out a space of dimension >= 2 and its
-    subtree is skipped.  A leaf's vector v spans its cut, so a nonzero
-    vector of the span whose support lies in v's vanishes on the chosen
-    constraints and has v's support: every leaf support is minimal, and a
-    unit coordinate only makes a leaf of size 1.
+    The subsets are walked depth first in lexicographic order, one node
+    per flat: a node holds a basis of its cut {v in span : v_i = 0 for i
+    chosen}, as ambient vectors, and a child's cut is one pivot step away
+    (`_cut`).  A node enters only the leaders of its cut's parallel
+    classes (`_class_leaders`), so the chosen constraints of every node
+    are the lexicographically-first basis of the flat they span.  Each
+    hyperplane, and so each minimal support, is then reached at exactly
+    one leaf, which the walk checks.  A leaf's vector v spans its cut, so
+    a nonzero vector of the span whose support lies in v's vanishes on the
+    chosen constraints and has v's support: every leaf support is minimal,
+    and a unit coordinate only makes a leaf of size 1.
     """
     dim = len(basis)
     found: dict[frozenset, Vector] = {}
+    reached: set[frozenset] = set()
 
-    def walk(cut, chosen, start):
+    def walk(cut, chosen, start, coords):
         if len(chosen) == dim - 1:
             (vec,) = cut
             if any(i in vec for i in chosen):
                 raise InternalCheckError("cut vector does not vanish on its constraints")
             support = frozenset(vec)
-            if len(support) >= 2 and support not in found:
+            if support in reached:
+                raise InternalCheckError("support reached twice")
+            reached.add(support)
+            if len(support) >= 2:
                 found[support] = _normalized(vec)
             return
+        leaders = _class_leaders(cut, coords)
         # leave room for the constraints still to be chosen after i
-        for i in range(start, ambient - dim + 2 + len(chosen)):
-            if any(i in vec for vec in cut):
-                walk(_cut(cut, i), chosen + (i,), i + 1)
+        stop = ambient - dim + 2 + len(chosen)
+        for i in leaders:
+            if start <= i < stop:
+                walk(_cut(cut, i), chosen + (i,), i + 1, leaders)
 
-    walk(basis, (), 0)
+    walk(basis, (), 0, range(ambient))
     return [(tuple(sorted(s)), vec) for s, vec in found.items()]
+
+
+def _class_leaders(cut: list[Vector], coords) -> list[int]:
+    """The coordinates of `coords`, in order, that some vector of `cut`
+    holds and whose column over `cut` is proportional to no earlier held
+    one's: the first of each parallel class.  A subspace of the cut keeps
+    proportional columns proportional, so a child's leaders are among its
+    parent's, which is all a child looks at.  Columns are compared by zero
+    pattern, then by cross-multiplication, since a CycScalar is not
+    hashable."""
+    classes: dict[tuple[int, ...], list[dict[int, CycScalar]]] = {}
+    leaders = []
+    for i in coords:
+        col = {r: vec[i] for r, vec in enumerate(cut) if i in vec}
+        if not col:
+            continue
+        key = tuple(col)
+        reps = classes.get(key)
+        if reps is None:
+            classes[key] = [col]
+        # one-row columns of one zero pattern are always proportional
+        elif len(col) == 1 or any(_proportional(col, rep) for rep in reps):
+            continue
+        else:
+            reps.append(col)
+        leaders.append(i)
+    return leaders
+
+
+def _proportional(col: dict[int, CycScalar], rep: dict[int, CycScalar]) -> bool:
+    """Whether two columns of one zero pattern are proportional: with f
+    their first row, col[r] * rep[f] == rep[r] * col[f] at every row r."""
+    items = iter(col.items())
+    first, lead = next(items)
+    scale = rep[first]
+    return all(v * scale == rep[r] * lead for r, v in items)
 
 
 def _cut(vectors: list[Vector], coord: int) -> list[Vector]:

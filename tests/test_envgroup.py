@@ -18,7 +18,7 @@ from rackcover.errors import (
     ValidationError,
 )
 from rackcover.groups import FiniteGroup
-from rackcover.presentations import Presentation, format_word, parse_word
+from rackcover.presentations import Presentation, format_word, free_reduce, parse_word
 from rackcover.racks import (
     abelian_rack,
     affine_rack,
@@ -249,6 +249,40 @@ def test_tc_subgroup_index_matches_reference_enumerator():
         assert index == reference_todd_coxeter(
             pres, extra_relators=extra, subgroup_generators=subgroup
         )
+
+
+# indices of the enveloping group modulo x1^k for k = 2, 4, 6; FK_4 is
+# transpositions:4
+_POWER_QUOTIENTS = {
+    "transpositions:4": (24, 48, 72),
+    "tetrahedron": (2, 4, 48),
+    "affine:5,2": (2, 20, 6),
+    "four_cycles_S4": (6, 96, 18),
+    "affine:7,3": (2, 4, 42),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POWER_QUOTIENTS))
+def test_tc_power_quotients_match_reference_enumerator(name):
+    # one HLT pass against the whole-pass follow-and-define enumerator
+    pres = enveloping_presentation(catalog(name))
+    for k, index in zip((2, 4, 6), _POWER_QUOTIENTS[name]):
+        extra = ((1,) * k,)
+        assert todd_coxeter(pres, extra_relators=extra) == index
+        assert reference_todd_coxeter(pres, extra_relators=extra) == index
+
+
+def test_tc_one_pass_defines_what_two_passes_did():
+    # S_5 from transpositions:5 and x1^2: the one pass defines the 259
+    # cosets that a pass followed by a second, defining nothing, did
+    pres = enveloping_presentation(catalog("transpositions:5"))
+    relators = [
+        coset._symbols(free_reduce(rel)) for rel in pres.relators + ((1, 1),)
+    ]
+    table = coset._enumerate(pres.ngens, relators, [], 100_000)
+    coset._certify_closed(table, relators, [])
+    assert len(table.live()) == 120
+    assert len(table.labels) == 1 + 259  # coset 0, then the ones defined
 
 
 def test_tc_closure_certificate_trips_on_tampered_tables(monkeypatch):

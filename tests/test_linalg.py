@@ -506,6 +506,60 @@ def test_support_minimal_cut_vector_check(monkeypatch):
         support_minimal_vectors(vectors, 4)
 
 
+def test_support_minimal_reaches_each_support_once(monkeypatch):
+    # columns 0 and 1 are parallel, so x0 = 0 and x1 = 0 cut out the same
+    # line; the walk enters the flat they span once, by coordinate 0, and
+    # a walk entering every held coordinate reaches support {2} twice
+    vectors = [as_vec([1, 2, 0]), as_vec([0, 0, 1])]
+    assert support_minimal_vectors(vectors, 3) == ([((0, 1), as_vec([1, 2, 0]))], {2})
+
+    def every_held(cut, coords):
+        return [i for i in coords if any(i in vec for vec in cut)]
+
+    monkeypatch.setattr(linalg, "_class_leaders", every_held)
+    with pytest.raises(InternalCheckError, match="reached twice"):
+        support_minimal_vectors(vectors, 3)
+
+
+def with_parallel_columns(rng, basis, ambient, extra, order):
+    """The basis with `extra` more columns, each a copy of a random held
+    column scaled by 1, -1, 2, 3 or a root of unity of `order`, and the
+    columns shuffled."""
+    zeta = root_of_unity(order) if order > 1 else CycScalar.one()
+    scales = [CycScalar.rational(s, order) for s in (1, -1, 2, 3)]
+    scales += [zeta ** k for k in range(1, order)]
+    held = sorted({c for vec in basis for c in vec})
+    copies = [(rng.choice(held), rng.choice(scales)) for _ in range(extra)]
+    place = list(range(ambient + extra))
+    rng.shuffle(place)
+    wide = []
+    for vec in basis:
+        row = dict(vec)
+        for k, (source, scale) in enumerate(copies):
+            if source in vec:
+                row[ambient + k] = vec[source] * scale
+        wide.append({place[c]: v for c, v in row.items()})
+    return wide, ambient + extra
+
+
+@pytest.mark.parametrize("order", [1, 3, 4])
+def test_support_minimal_with_parallel_columns_matches_reference(order):
+    # the walk skips every coordinate parallel to an earlier held one over
+    # its cut; duplicated and scaled columns make such classes at every depth
+    rng = random.Random(700 + order)
+    for _ in range(12):
+        dim = rng.randint(1, 5)
+        ambient = rng.randint(dim, 9)
+        basis = random_rref_basis(rng, ambient, dim, order)
+        wide, wide_ambient = with_parallel_columns(
+            rng, basis, ambient, rng.randint(1, 4), order
+        )
+        assert_same_stored_scalars(
+            support_minimal_vectors(wide, wide_ambient),
+            reference_support_minimal_vectors(wide, wide_ambient),
+        )
+
+
 def test_support_minimal_subset_bound(monkeypatch):
     # dim 3 in ambient 8 cuts with C(8, 2) = 28 constraint sets
     vectors = [as_vec([1, 0, 0, 1, 1, 0, 1, 0]), as_vec([0, 1, 0, 1, 0, 1, 1, 1]),

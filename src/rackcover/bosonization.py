@@ -501,11 +501,18 @@ def _compile(slice_: GradedHopfSlice) -> _Tables:
         ])
         for n, i, g in basis
     ]
-    antipode = [
-        tuple([(level[k[:2]] * G + k[2], scalar(c))
-               for k, c in slice_.basis_antipode(key).items()])
-        for key in basis
-    ]
+    # S(b # g) = (1 # h)(S_B(b) # 1), h = (deg(b) g)^-1: the compiled rows
+    # of (1 # h, b_j), at position h, summed over S_B(b) = sum c_j b_j
+    group = slice_.datum.group
+    inv = [group.index(group.inv(x)) for x in group.elements]
+    antipode = []
+    for n, i in levels:
+        s_b = [(level[k], scalar(c)) for k, c in slice_.antipode[(n, i)].items()]
+        for g in range(G):
+            h = inv[times[tag_degrees[n][i]][g]]
+            row: dict = {}
+            add_terms(row, ((k, c * s) for j, c in s_b for k, s in product[h][j]))
+            antipode.append(tuple([(k * G + h, s) for k, s in row.items()]))
     return _Tables(degree, closed, product, coproduct, antipode, field.one)
 
 

@@ -9,7 +9,8 @@ pivot as seldom as possible, since the matrices arising from quantum
 symmetrizers and braided derivations are monomial-sparse.  `rank_kernel`
 feeds it the columns of a matrix; `support_minimal_vectors` feeds it the
 spanning vectors and walks the vanishing-coordinate cuts of the kept ones,
-one node per flat of constraints and one pivot step (`_cut`) per node.
+one node per flat of constraints and one pivot step (`_cut`) per node,
+with the steps of one search counted against MAX_SUPPORT_STEPS.
 `determinant` keeps its own row-swap elimination, so that it checks the
 ranks of the 1 + c blocks independently of the span.
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .cyclotomic import CycScalar, Field
 from .errors import BoundExceededError, InternalCheckError, NonSquareError
@@ -416,10 +417,8 @@ def abelian_invariants(matrix: list[list[int]], ngens: int) -> tuple[int, tuple[
 # Support-minimal vectors of a subspace
 # ---------------------------------------------------------------------------
 
-# the largest ambient dimension, and the most constraint subsets, the
-# support search takes
-MAX_SUPPORT_AMBIENT = 64
-MAX_SUPPORT_SUBSETS = 500_000
+# the most pivot steps (`_cut`) one support search takes
+MAX_SUPPORT_STEPS = 250_000
 
 
 def support_minimal_vectors(
@@ -432,19 +431,15 @@ def support_minimal_vectors(
     scalar; it is normalized so its first nonzero coordinate is 1.
 
     With k the dimension of the span, the minimal-support vectors are the
-    one-dimensional cuts of k-1 vanishing-coordinate constraints, so the
-    C(ambient, k-1) constraint subsets give the answer; MAX_SUPPORT_SUBSETS
-    bounds that count, and MAX_SUPPORT_AMBIENT bounds `ambient`.
-    `_minimal_by_constraint_cuts` walks them from the spanning vectors
-    that one `IncrementalSpan` keeps, over their `Field`, entering each
-    flat the constraints span once; it cuts far fewer than C(ambient, k-1)
-    times, but the bound stays on that count, which depends on the span
-    alone.
+    one-dimensional cuts of k-1 vanishing-coordinate constraints.
+    `_minimal_by_constraint_cuts` walks those constraint subsets from the
+    spanning vectors that one `IncrementalSpan` keeps, over their `Field`,
+    entering each flat the constraints span once, and counts its pivot
+    steps as it goes: past MAX_SUPPORT_STEPS it raises BoundExceededError.
+    The count is the work done, so it may trip a few percent sooner or
+    later when the coordinates are permuted; a search that completes
+    returns the same supports either way.
     """
-    if ambient > MAX_SUPPORT_AMBIENT:
-        raise BoundExceededError(
-            f"ambient dimension {ambient} exceeds bound {MAX_SUPPORT_AMBIENT}"
-        )
     field = Field(v for vec in spanning for v in vec.values())
     internal = field.internal
     vectors = [{c: internal(v) for c, v in vec.items()} for vec in spanning]
@@ -457,11 +452,6 @@ def support_minimal_vectors(
         i for i in range(ambient) if span.coordinates({i: field.one}) is not None
     }
 
-    cut_cost = comb(ambient, span.dim - 1)
-    if cut_cost > MAX_SUPPORT_SUBSETS:
-        raise BoundExceededError(
-            f"support search needs {cut_cost} subsets, bound is {MAX_SUPPORT_SUBSETS}"
-        )
     found = _minimal_by_constraint_cuts([vectors[t] for t in span.kept], ambient)
     found.sort(key=lambda t: (len(t[0]), t[0]))
     export = field.export
@@ -485,13 +475,17 @@ def _minimal_by_constraint_cuts(basis, ambient):
     one leaf, which the walk checks.  A leaf's vector v spans its cut, so
     a nonzero vector of the span whose support lies in v's vanishes on the
     chosen constraints and has v's support: every leaf support is minimal,
-    and a unit coordinate only makes a leaf of size 1.
+    and a unit coordinate only makes a leaf of size 1.  The walk raises
+    BoundExceededError before its step past MAX_SUPPORT_STEPS.
     """
     dim = len(basis)
     found: dict[frozenset, Vector] = {}
     reached: set[frozenset] = set()
+    bound = MAX_SUPPORT_STEPS
+    steps = 0
 
     def walk(cut, chosen, start, coords):
+        nonlocal steps
         if len(chosen) == dim - 1:
             (vec,) = cut
             if any(i in vec for i in chosen):
@@ -508,6 +502,9 @@ def _minimal_by_constraint_cuts(basis, ambient):
         stop = ambient - dim + 2 + len(chosen)
         for i in leaders:
             if start <= i < stop:
+                if steps == bound:
+                    raise BoundExceededError(f"support search exceeds {bound} pivot steps")
+                steps += 1
                 walk(_cut(cut, i), chosen + (i,), i + 1, leaders)
 
     walk(basis, (), 0, range(ambient))

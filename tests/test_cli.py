@@ -23,6 +23,7 @@ from rackcover.cli import main
 from rackcover.groups import group_to_json, FiniteGroup
 from rackcover.racks import (
     abelian_rack,
+    catalog,
     rack_to_json,
     transposition_elements,
     transpositions_rack,
@@ -298,20 +299,31 @@ def test_hopf_cover_slice_bound_prints_the_dims_built(tmp_path, capsys):
 
 
 def test_hopf_cover_support_bound_prints_the_degrees_completed(tmp_path, capsys, monkeypatch):
-    # the S_3 chi minimal elements lie in word blocks of at most 3 words in
-    # degree 2 and of 8 in degree 3: a support bound of 4 stops the pass
-    # after the 6 elements of degree 2, with every map check done
-    monkeypatch.setattr("rackcover.linalg.MAX_SUPPORT_AMBIENT", 4)
-    write_s3_chi_datum(tmp_path / "s3chi.json")
-    code, out, err = run(capsys, *_identity_cover_argv(tmp_path / "s3chi.json"), "--cutoff", "3")
+    # the FK_4 chi support searches take at most 3 pivot steps in degree 2
+    # and up to 156 in degree 3: a bound of 3 stops the pass after the 27
+    # elements of degree 2, with every map check done
+    monkeypatch.setattr("rackcover.linalg.MAX_SUPPORT_STEPS", 3)
+    write_chi_datum(tmp_path / "s4chi.json", 4)
+    code, out, err = run(capsys, *_identity_cover_argv(tmp_path / "s4chi.json"), "--cutoff", "3")
     assert code == 2
-    assert err == "bound exceeded: ambient dimension 8 exceeds bound 4\n"
-    # 54 stored rows (b1, b2) of B(V)'s dims (1, 3, 4, 3) in closed degrees,
-    # each for 6 group elements h1 and counted for 6 h2; 11 * 6 coproducts
+    assert err == "bound exceeded: support search exceeds 3 pivot steps\n"
+    # B(V)'s dims (1, 6, 19, 42) give a slice of 68 * 24 = 1632 coproducts
     assert json.loads(out)["result"] == {
-        "kernel_size": 1, "lifts_per_element": 1, "minimal_elements_checked": 6,
-        "algebra_products_checked": 54 * 6 * 6, "coproducts_checked": 66, "partial": True,
+        "kernel_size": 1, "lifts_per_element": 1, "minimal_elements_checked": 27,
+        "algebra_products_checked": 229824, "coproducts_checked": 1632, "partial": True,
     }
+
+
+def test_nichols_minimal_dihedral_5_at_degree_3_under_relabeling(tmp_path, capsys):
+    # blocks of any size go to the walk, whose searches here stay far below
+    # the step bound; a relabeled rack file gives the same counts
+    perm = (3, 0, 4, 1, 2)
+    path = tmp_path / "d5.json"
+    path.write_text(json.dumps(rack_to_json(catalog("dihedral:5").relabel(perm))))
+    for source in (("--builtin", "dihedral:5"), ("--file", str(path))):
+        result = run_json(capsys, "nichols", "minimal", *source, "--max-degree", "3")
+        counts = {n: len(elements) for n, elements in result["minimal_elements"].items()}
+        assert counts == {"2": 40, "3": 1020}, source
 
 
 def test_unknown_builtin_exit_code(capsys):
@@ -712,15 +724,17 @@ def c12_mixed_order_datum():
     return datum
 
 
-def write_s3_chi_datum(path):
-    cocycle = chi_cocycle(3)
-    elems = transposition_elements(3)
-    s3 = datum_from_generators(
+def write_chi_datum(path, n=3):
+    """The transpositions of S_n with the chi cocycle, graded by themselves
+    inside S_n."""
+    cocycle = chi_cocycle(n)
+    elems = transposition_elements(n)
+    datum = datum_from_generators(
         BraidedSpace(cocycle.rack, cocycle),
-        FiniteGroup.from_permutations(elems, label="S3"),
+        FiniteGroup.from_permutations(elems, label=f"S{n}"),
         elems,
     )
-    path.write_text(json.dumps(datum_to_json(s3)))
+    path.write_text(json.dumps(datum_to_json(datum)))
 
 
 def test_no_meta_output_is_byte_stable(tmp_path, monkeypatch, capsys):
@@ -728,7 +742,7 @@ def test_no_meta_output_is_byte_stable(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     taft = rank_one_datum(group_order=3, q_order=3)
     (tmp_path / "taft3.json").write_text(json.dumps(datum_to_json(taft)))
-    write_s3_chi_datum(tmp_path / "s3chi.json")
+    write_chi_datum(tmp_path / "s3chi.json")
     (tmp_path / "c12.json").write_text(json.dumps(datum_to_json(c12_mixed_order_datum())))
     for argv, digest in GOLDEN.items():
         code, out, err = run(capsys, *argv, "--no-meta")
@@ -741,7 +755,7 @@ def test_no_meta_output_is_byte_stable(tmp_path, monkeypatch, capsys):
     ["nichols", "relators", "--builtin", "tetrahedron", "--max-degree", "3"],
 ], ids=["hopf-bosonize", "nichols-relators"])
 def test_no_meta_output_is_independent_of_the_hash_seed(tmp_path, argv):
-    write_s3_chi_datum(tmp_path / "s3chi.json")
+    write_chi_datum(tmp_path / "s3chi.json")
     src = Path(rackcover.__file__).resolve().parent.parent
     outputs = []
     for seed in ("0", "12345"):

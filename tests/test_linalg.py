@@ -320,11 +320,6 @@ def test_support_minimal_zero_space():
     assert found == [] and units == set()
 
 
-def test_support_minimal_ambient_bound():
-    with pytest.raises(BoundExceededError):
-        support_minimal_vectors([as_vec([1])], 65)
-
-
 def test_support_minimal_vs_brute_force():
     rng = random.Random(17)
     for _ in range(60):
@@ -560,15 +555,26 @@ def test_support_minimal_with_parallel_columns_matches_reference(order):
         )
 
 
-def test_support_minimal_subset_bound(monkeypatch):
-    # dim 3 in ambient 8 cuts with C(8, 2) = 28 constraint sets
+def test_support_minimal_step_bound(monkeypatch):
+    # the bound counts the walk's pivot steps: a search of exactly k steps
+    # completes at bound k and stops at bound k - 1
     vectors = [as_vec([1, 0, 0, 1, 1, 0, 1, 0]), as_vec([0, 1, 0, 1, 0, 1, 1, 1]),
                as_vec([0, 0, 1, 0, 1, 1, 1, 2])]
-    monkeypatch.setattr(linalg, "MAX_SUPPORT_SUBSETS", 27)
-    with pytest.raises(BoundExceededError, match="28 subsets"):
+    cut, steps = linalg._cut, []
+
+    def counted(vectors, coord):
+        steps.append(coord)
+        return cut(vectors, coord)
+
+    monkeypatch.setattr(linalg, "_cut", counted)
+    expected = support_minimal_vectors(vectors, 8)
+    k = len(steps)
+    assert k > 0
+    monkeypatch.setattr(linalg, "MAX_SUPPORT_STEPS", k)
+    assert support_minimal_vectors(vectors, 8) == expected
+    monkeypatch.setattr(linalg, "MAX_SUPPORT_STEPS", k - 1)
+    with pytest.raises(BoundExceededError, match=f"^support search exceeds {k - 1} pivot steps$"):
         support_minimal_vectors(vectors, 8)
-    monkeypatch.setattr(linalg, "MAX_SUPPORT_SUBSETS", 28)
-    support_minimal_vectors(vectors, 8)
 
 
 # --- incremental span -------------------------------------------------------

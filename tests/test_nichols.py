@@ -746,13 +746,18 @@ def test_minimal_elements_diagonal_kernel_gives_none():
     assert minimal_elements(space, 2) == []
 
 
-@pytest.mark.parametrize("rack", ["tetrahedron", "transpositions:4"])
-def test_minimal_elements_match_reference_support_search(rack, monkeypatch):
+@pytest.mark.parametrize("rack, degree", [
+    pytest.param("tetrahedron", 3, id="tetrahedron"),
+    pytest.param("transpositions:4", 3, id="transpositions:4"),
+    # blocks of 135 words at rank 3
+    pytest.param("tetrahedron", 5, id="tetrahedron-5"),
+])
+def test_minimal_elements_match_reference_support_search(rack, degree, monkeypatch):
     space = space_const_minus_one(catalog(rack))
-    walked = minimal_elements(space, 3)
+    walked = minimal_elements(space, degree)
     monkeypatch.setattr(nichols, "support_minimal_vectors",
                         reference_support_minimal_vectors)
-    assert walked == minimal_elements(space, 3)
+    assert walked == minimal_elements(space, degree)
     assert walked
 
 

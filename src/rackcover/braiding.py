@@ -334,28 +334,37 @@ class QuadraticReport:
 def quadratic_analysis(space: BraidedSpace) -> QuadraticReport:
     """Per-orbit kernel dimensions by the sign criterion, each cross-checked
     against the exact rank of 1 + c on the block, and against the explicit
-    kernel vector when present."""
+    kernel vector when present.  The block matrix is a function of (m,
+    lambda) alone, so the determinant, rank and kernel-vector checks run
+    once per distinct block, and every orbit with an equal (m, lambda) is
+    compared against that block's verified nullity."""
     orbits = c_orbits(space)
+    blocks: list[tuple[int, CycScalar, int]] = []  # verified (m, lambda, nullity)
     total = 0
     for orbit in orbits:
-        matrix = orbit.one_plus_c_matrix()
-        m = orbit.size
-        det = determinant(matrix)
-        expected = CycScalar.one() + orbit.lam * ((-1) ** (m - 1))
-        if det != expected:
-            raise InternalCheckError(
-                f"block determinant {det} != 1 + (-1)^(m-1) lambda at {orbit.pairs[0]}"
-            )
-        rank, kernel = rank_kernel(matrix)
-        nullity = m - rank
+        m, lam = orbit.size, orbit.lam
+        nullity = next(
+            (k for size, value, k in blocks if size == m and value == lam), None
+        )
+        if nullity is None:
+            matrix = orbit.one_plus_c_matrix()
+            det = determinant(matrix)
+            expected = CycScalar.one() + lam * ((-1) ** (m - 1))
+            if det != expected:
+                raise InternalCheckError(
+                    f"block determinant {det} != 1 + (-1)^(m-1) lambda at {orbit.pairs[0]}"
+                )
+            rank = rank_kernel(matrix)[0]
+            vec = orbit.kernel_vector()
+            if vec is not None and matrix.apply(vec):
+                raise InternalCheckError(
+                    f"alternating theta sum not annihilated at {orbit.pairs[0]}"
+                )
+            nullity = m - rank
+            blocks.append((m, lam, nullity))
         if nullity != orbit.kernel_dim:
             raise InternalCheckError(
                 f"sign criterion disagrees with exact rank at {orbit.pairs[0]}"
-            )
-        vec = orbit.kernel_vector()
-        if vec is not None and matrix.apply(vec):
-            raise InternalCheckError(
-                f"alternating theta sum not annihilated at {orbit.pairs[0]}"
             )
         total += nullity
     d = space.dim

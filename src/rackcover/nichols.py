@@ -26,6 +26,13 @@ grade per orbit and multiplies by the orbit size.  Every lower degree,
 and every other caller, gets the full GradedBasis, since the next degree
 needs the derivations and right multiplications of every grade.
 
+Staircase: the kept words are closed under prefixes (candidates extend
+kept words) and under suffixes (checked in every degree), so they are the
+normal words of B(V)'s ideal in the degree-lexicographic order (Bergman,
+The diamond lemma for ring theory, 1978).  A top-degree word whose suffix
+is not kept is a combination of smaller kept words, so the top degree
+leaves it out of its elimination without changing the rank.
+
 The quantum symmetrizer S_n, whose image is B^n, stays for the minimal
 elements below: it is the sum, over all permutations of n letters, of the
 braid-group lifts obtained by replacing each letter s_i of a reduced word
@@ -318,7 +325,8 @@ class GradedBasis:
     """One graded component B^n, built from B^(n-1) by braided
     skew-derivations (see the module docstring).  `tags` are the kept
     words, the lexicographically-first words whose images span B^n, in
-    word-index order.  It is the only eliminator of a graded component:
+    word-index order; the suffix of length n-1 of each is checked to be
+    kept in B^(n-1).  It is the only eliminator of a graded component:
     ranks, slice bases, products and coproducts are all read from it.
 
     The candidate of (kept b_j of B^(n-1), letter x) is the derivation
@@ -375,7 +383,9 @@ class GradedBasis:
         kept: dict[int, dict[int, dict[int, CycScalar]]] = {}  # c -> blocks
         dependent: dict[int, dict[int, CycScalar]] = {}  # c -> combination
         for grade in range(len(candidates.keys)):
-            for c, vector, combination in candidates.eliminate(grade):
+            for c, vector, combination in candidates.eliminate(
+                grade, candidates.members[grade]
+            ):
                 if combination is not None:
                     dependent[c] = combination
                     continue
@@ -400,6 +410,16 @@ class GradedBasis:
                 self._right[x][j] = {
                     position[k]: value for k, value in dependent.pop(c).items()
                 }
+        # the kept words are closed under prefixes by construction; closed
+        # under suffixes too, they are the normal words of B(V)'s ideal in
+        # deglex order, which the top-degree skip of _dim_by_orbits needs
+        lower, size = set(previous.tags), previous.words.size
+        for tag in self.tags:
+            if tag % size not in lower:
+                raise InternalCheckError(
+                    f"degree {degree} kept word {self.words.word(tag)} has a "
+                    f"suffix that degree {degree - 1} does not keep"
+                )
 
     @property
     def dim(self) -> int:
@@ -464,9 +484,9 @@ class _Candidates:
         for c, grade in enumerate(self.grade_of):
             self.members[grade].append(c)
 
-    def eliminate(self, grade: int):
-        """Insert the derivation vectors of one grade's candidates, in
-        candidate order, into an IncrementalSpan of their own.  Yields
+    def eliminate(self, grade: int, members: list[int]):
+        """Insert the derivation vectors of `members`, candidates of one
+        grade, in candidate order, into an IncrementalSpan of their own.  Yields
         (c, vector, None) for a kept candidate and (c, None, combination)
         for a dependent one, with its certified combination over the kept
         candidates.  The y block of b_j v_x is
@@ -476,7 +496,7 @@ class _Candidates:
         grade_of, derivations = self.grade_of, self.previous.derivations
         lower_right = self.previous._right
         span = IncrementalSpan()
-        for c in self.members[grade]:
+        for c in members:
             j, x = divmod(c, d)
             vector: dict[int, CycScalar] = {}
             terms = [(c, one)]
@@ -540,13 +560,32 @@ def _dim_by_orbits(space: BraidedSpace, previous: GradedBasis, max_cols: int) ->
     """dim B^n for n = previous.degree + 1, eliminating one grade per
     Inn(X) orbit: the sum over orbits of |orbit| * rank(least grade).
     Exact because conjugate grades have equal dimensions (see the module
-    docstring); it yields no basis, so only a top degree can use it."""
+    docstring); it yields no basis, so only a top degree can use it.
+
+    A candidate b_j v_x whose word t_j x has a suffix of length n-1 that
+    is not kept in B^(n-1) is left out.  The kept words are the normal
+    words of B(V)'s ideal in deglex order (checked by GradedBasis), and a
+    letter in front keeps the lex order of words of one length, so that
+    word is not normal: it is a combination of smaller normal words, all
+    of them candidates.  Every candidate that can be independent is still
+    eliminated, and each rank is unchanged.  For n = 1 the suffix is the
+    empty word, always kept."""
     candidates = _Candidates(space, previous, max_cols)
-    return sum(
-        len(orbit)
-        * sum(combination is None for _, _, combination in candidates.eliminate(orbit[0]))
-        for orbit in candidates.orbits()
-    )
+    d, tags, kept = space.dim, previous.tags, set(previous.tags)
+    size = previous.words.size  # d^(n-1): a word index mod size is its suffix
+    total = 0
+    for orbit in candidates.orbits():
+        grade = orbit[0]
+        normal = [
+            c for c in candidates.members[grade]
+            if (tags[c // d] * d + c % d) % size in kept
+        ]
+        rank = sum(
+            combination is None
+            for _, _, combination in candidates.eliminate(grade, normal)
+        )
+        total += len(orbit) * rank
+    return total
 
 
 # ---------------------------------------------------------------------------

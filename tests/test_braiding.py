@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from rackcover import braiding
 from rackcover.braiding import (
     BraidedSpace,
     Cocycle,
@@ -13,7 +15,7 @@ from rackcover.braiding import (
     quadratic_analysis,
 )
 from rackcover.cyclotomic import CycScalar, root_of_unity
-from rackcover.errors import RackAxiomError, ValidationError
+from rackcover.errors import InternalCheckError, RackAxiomError, ValidationError
 from rackcover.linalg import ExactMatrix
 from rackcover.racks import (
     Rack,
@@ -402,6 +404,57 @@ def test_determinant_formula_all_catalog_orbits():
             nullity = m - rank_kernel(matrix)[0]
             assert nullity == orbit.kernel_dim
             assert nullity in (0, 1)
+
+
+def test_quadratic_analysis_checks_each_distinct_block_once(monkeypatch):
+    # the block of 1 + c is a function of (m, lambda): FK_5 under chi has
+    # 45 orbits of sizes 1, 2 and 3 but one lambda per size
+    counts = {"determinant": 0, "rank_kernel": 0}
+    for name in counts:
+
+        def counted(*args, name=name, original=getattr(braiding, name)):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(braiding, name, counted)
+    report = quadratic_analysis(chi_space(5))
+    assert report.orbit_count == 45
+    assert report.total_qr == 45
+    assert len({(orbit.size, str(orbit.lam)) for orbit in report.orbits}) == 3
+    assert counts == {"determinant": 3, "rank_kernel": 3}
+
+
+def test_quadratic_analysis_catches_a_tampered_block_matrix(monkeypatch):
+    # the identity has determinant 1, never 1 + (-1)^(m-1) lambda
+    original = braiding.OrbitData.one_plus_c_matrix
+
+    def tampered(orbit):
+        if orbit.size < 3:
+            return original(orbit)
+        return ExactMatrix(3, 3, {(i, i): CycScalar.one() for i in range(3)})
+
+    monkeypatch.setattr(braiding.OrbitData, "one_plus_c_matrix", tampered)
+    with pytest.raises(InternalCheckError, match="block determinant"):
+        quadratic_analysis(chi_space(4))
+
+
+def test_quadratic_analysis_catches_a_tampered_lambda(monkeypatch):
+    # the last orbit shares its block with earlier ones until its lambda
+    # changes sign; its own block then has no kernel line, though the
+    # orbit still claims one
+    space = space_const_minus_one(transpositions_rack(4))
+    original = braiding.c_orbits
+
+    def tampered(space):
+        orbits = original(space)
+        last = orbits[-1]
+        assert last.kernel_dim == 1
+        assert sum(o.size == last.size for o in orbits) > 1
+        return orbits[:-1] + [replace(last, lam=-last.lam)]
+
+    monkeypatch.setattr(braiding, "c_orbits", tampered)
+    with pytest.raises(InternalCheckError):
+        quadratic_analysis(space)
 
 
 def test_predicates():

@@ -400,6 +400,24 @@ def test_nichols_dims_column_bound_applies_from_degree_one(capsys):
     assert result["cutoff"] == 0
 
 
+@pytest.mark.parametrize("max_cols,code", [(12, 0), (11, 2)])
+def test_nichols_dims_top_degree_counts_every_candidate(capsys, max_cols, code):
+    # the top degree leaves out words whose suffix is not kept, but the
+    # bound still counts all d * dim B^2 = 12 candidates of degree 3
+    exit_code, out, err = run(
+        capsys,
+        "nichols", "dims", "--builtin", "transpositions:3", "--max-degree", "3",
+        "--max-cols", str(max_cols), "--no-meta",
+    )
+    assert exit_code == code, err
+    result = json.loads(out)["result"]
+    if code == 0:
+        assert result["dims"] == [1, 3, 4, 3]
+    else:
+        assert err == "bound exceeded: degree 3 needs 12 candidate columns, bound is 11\n"
+        assert result["dims"] == [1, 3, 4]
+
+
 def _datum_missing(key):
     data = datum_to_json(rank_one_datum(group_order=2, q_order=2))
     del data[key]

@@ -431,6 +431,70 @@ def test_orbit_check_catches_unequal_candidate_counts(monkeypatch):
         hilbert_series(space, 3)
 
 
+# --- the kept words as a Groebner staircase ---------------------------------
+
+STAIRCASE_SPACES = {
+    "transpositions3-minus1": (lambda: _constant_space("transpositions:3", 2), 5),
+    "transpositions3-chi": (lambda: chi_space(3), 5),
+    "transpositions4-minus1": (lambda: _constant_space("transpositions:4", 2), 12),
+    "transpositions4-chi": (lambda: chi_space(4), 12),
+    "affine52-one": (lambda: _constant_space("affine:5,2", 1), 5),
+    "tetrahedron-zeta6": (lambda: _constant_space("tetrahedron", 6), 6),
+    "abelian2-zeta3": (cartan_zeta3_space, 8),
+}
+
+
+@pytest.mark.parametrize("name", list(STAIRCASE_SPACES))
+def test_top_degree_skip_keeps_the_full_engine_dim(name):
+    # every degree, taken as a top degree that leaves out the words whose
+    # suffix is not kept, has the dimension of the full engine's degree
+    build, top = STAIRCASE_SPACES[name]
+    space = build()
+    lower = GradedBasis(space, 0)
+    for degree in range(1, top + 1):
+        top_dim = nichols._dim_by_orbits(space, lower, 10**4)
+        lower = GradedBasis(space, degree, previous=lower)
+        assert top_dim == lower.dim, degree
+
+
+@pytest.mark.parametrize("name,order,degree,dim,candidates,skipped", [
+    ("transpositions:3", 3, 5, 111, 50, 12),
+    ("transpositions:4", 2, 4, 71, 57, 39),
+])
+def test_top_degree_skip_counts(
+    monkeypatch, name, order, degree, dim, candidates, skipped
+):
+    # candidates and skipped words over the representative grades, one per
+    # Inn(X) orbit
+    space = _constant_space(name, order)
+    inserted = []
+    original = nichols._Candidates.eliminate
+
+    def recording(self, grade, members):
+        inserted.append((len(self.members[grade]), len(members)))
+        return original(self, grade, members)
+
+    lower = GradedBasis(space, degree - 1)
+    monkeypatch.setattr(nichols._Candidates, "eliminate", recording)
+    assert nichols._dim_by_orbits(space, lower, 10**4) == dim
+    assert sum(total for total, _ in inserted) == candidates
+    assert sum(total - kept for total, kept in inserted) == skipped
+
+
+def test_suffix_check_catches_a_kept_set_not_closed_under_suffixes():
+    # a word that degree 2 does not keep stands in for the suffix of a
+    # kept word of degree 3 whose prefix is another kept word
+    space = space_const_minus_one(transpositions_rack(3))
+    d = space.dim
+    lower = GradedBasis(space, 2)
+    upper = GradedBasis(space, 3, previous=lower)
+    tag = next(t for t in upper.tags if t // d != t % d**2)
+    outside = next(w for w in range(d**2) if w not in lower.tags)
+    lower.tags[lower.tags.index(tag % d**2)] = outside
+    with pytest.raises(InternalCheckError, match="suffix"):
+        GradedBasis(space, 3, previous=lower)
+
+
 def test_engine_runs_sign_valued_order_four_cocycle_over_ints():
     # q == zeta_4^2 = -1 takes rational values only, so the engine holds
     # ints as for const:-1, keeps the same words in every degree, and
